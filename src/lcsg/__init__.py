@@ -23,7 +23,6 @@ from .autoregressive import (
     TokenDistribution,
     UnknownTokenError,
     generate,
-    next_distribution,
     step_cwu,
     step_ntp,
 )

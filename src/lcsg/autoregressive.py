@@ -184,13 +184,6 @@ class Predictor(Protocol):
     ) -> tuple[TokenDistribution, PredictorState]: ...
 
 
-def next_distribution(
-    predictor: Predictor, state: PredictorState, context: SymbolString
-) -> tuple[TokenDistribution, PredictorState]:
-    """Query the predictor at (state, context)."""
-    return predictor.next_distribution(state, context)
-
-
 def step_ntp(
     c: Configuration,
     predictor: Predictor,
@@ -234,38 +227,30 @@ def generate(
         raise ValueError(f"unknown policy: {policy}")
     rng = random.Random(seed) if policy == "sample" else None
 
-    full = prompt
-    state = predictor.initial_state
-    t = 0
+    c = Configuration(prompt, predictor.initial_state, 0)
     steps: list[GenerationStep] = []
     truncated_seen = False
     termination = "max_T_reached"
-    while t < max_t:
-        if window is None or len(full) <= window:
-            context = full
-        else:
+    while c.t < max_t:
+        seen = c
+        if window is not None and len(c.context) > window:
             truncated_seen = True
-            context = full[len(full) - window:]
-        ic = step_ntp(Configuration(context, state, t), predictor, policy, rng)
+            seen = Configuration(c.context[len(c.context) - window:], c.state, c.t)
+        ic = step_ntp(seen, predictor, policy, rng)
         if isinstance(ic.pending_token, EndOfSequence):
             termination = "END_sampled"
             break
-        steps.append(GenerationStep(state, ic.pending_token, ic.next_state))
-        if window is None:
-            after = step_cwu(ic)
-            full, state, t = after.context, after.state, after.t
-        else:
-            full = full + (ic.pending_token,)
-            state = ic.next_state
-            t += 1
+        steps.append(GenerationStep(c.state, ic.pending_token, ic.next_state))
+        # the window narrowed only what the predictor saw; append to the full context
+        c = step_cwu(IntermediateConfiguration(c.context, ic.pending_token, ic.next_state, c.t))
 
     return GenerationRecord(
         prompt=prompt,
         steps=tuple(steps),
-        final=full,
+        final=c.context,
         termination=termination,
         seed=seed,
         policy=policy,
         initial_state=predictor.initial_state,
-        conforming=window is None or not truncated_seen,
+        conforming=not truncated_seen,
     )

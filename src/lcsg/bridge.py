@@ -76,6 +76,11 @@ class DynamicStart:
 B_DYN = DynamicStart()
 
 
+def _state_hash(state: PredictorState) -> str:
+    """The eight-hex-digit id that names ``state`` in grammars and traces."""
+    return hashlib.sha256(repr((state.family, state.encoding)).encode()).hexdigest()[:8]
+
+
 @dataclass(frozen=True)
 class DynamicNonterminal:
     """A machine state in its role as a grammar nonterminal.
@@ -89,10 +94,7 @@ class DynamicNonterminal:
 
     @property
     def short_id(self) -> str:
-        digest = hashlib.sha256(
-            repr((self.state.family, self.state.encoding)).encode()
-        ).hexdigest()
-        return digest[:8]
+        return _state_hash(self.state)
 
     def __repr__(self) -> str:
         return f"A#{self.short_id}"
@@ -271,8 +273,7 @@ def _state_namer(used: set[str]):
         ):
             candidate = "s_BOS" if not enc else "s_" + "_".join(enc)
         else:
-            digest = hashlib.sha256(repr((state.family, enc)).encode()).hexdigest()
-            candidate = "s_" + digest[:8]
+            candidate = "s_" + _state_hash(state)
         unique, n = candidate, 2
         while unique in used:
             unique = f"{candidate}_{n}"

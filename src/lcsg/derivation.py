@@ -141,6 +141,13 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
     )
 
 
+def _min_yield(form: SymbolString, nullable: frozenset[Symbol]) -> int:
+    """The fewest terminals ``form`` can derive, given ``_search_profile``'s set."""
+    if not nullable:
+        return len(form)
+    return sum(1 for s in form if s not in nullable)
+
+
 @dataclass(frozen=True)
 class _Reachability:
     parents: dict  # form -> (parent form, production_index, position) | None
@@ -150,12 +157,6 @@ class _Reachability:
 @lru_cache(maxsize=256)
 def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     nullable = _search_profile(g)
-
-    def min_yield(form: SymbolString) -> int:
-        if not nullable:
-            return len(form)
-        return sum(1 for s in form if s not in nullable)
-
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, tuple | None] = {initial: None}
     frontier: deque[SymbolString] = deque([initial])
@@ -167,7 +168,7 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
         expanded += 1
         for step in successors(form, g):
             child = step.after
-            if child in parents or min_yield(child) > max_len:
+            if child in parents or _min_yield(child, nullable) > max_len:
                 continue
             parents[child] = (form, step.production_index, step.position)
             frontier.append(child)

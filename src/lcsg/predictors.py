@@ -94,9 +94,11 @@ class GrammarPredictor:
     posterior statuses).  Belief arithmetic is exact (rational), so two
     contexts that induce the same posterior really do share one state
     encoding; probabilities appear in encodings as (numerator, denominator)
-    pairs.  Each call reconsumes its context from scratch, so the state
-    argument is accepted for protocol uniformity but carries no extra
-    information."""
+    pairs.  Each call resumes from the longest prefix of its context
+    already consumed, so the state argument is accepted for protocol
+    uniformity but carries no extra information.  The memo of consumed
+    prefixes is unbounded: it keeps the belief after every distinct prefix
+    the predictor has seen."""
 
     family = "grammar"
     finite_state = True
@@ -286,7 +288,7 @@ class NgramPredictor:
             if s.name not in self._names or not s.is_terminal:
                 raise UnknownTokenError(f"token outside the vocabulary: {s!r}")
         names = context.names()
-        suffix = names[len(names) - self.k:] if self.k else ()
+        suffix = names[max(0, len(names) - self.k):] if self.k else ()
         entries = self._table.get(suffix, self._fallback)
         return TokenDistribution(entries), PredictorState(self.family, suffix)
 

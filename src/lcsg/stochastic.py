@@ -15,6 +15,8 @@ string: the sum over all complete derivations of the product of step
 probabilities.  The computation sweeps reachable forms in increasing length
 order; probability mass that cycles among same-length forms is resolved by
 a dense linear solve, which keeps the result exact rather than iterative.
+``exact_distribution`` reads every string of its support from one such
+sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .derivation import (
     DerivationStep,
     DerivationTrace,
     FuelExhaustedError,
+    _min_yield,
     _search_profile,
+    enumerate_language,
     successors,
 )
 from .grammar import Grammar
@@ -158,21 +162,21 @@ def sample_derivation(
     return SampledDerivation(DerivationTrace(g, tuple(steps)), not form.is_all_terminal())
 
 
-def string_probability(
-    wg: WeightedGrammar, w: SymbolString, fuel: int = DEFAULT_FUEL
-) -> float:
-    """Exact probability of deriving the terminal string ``w``."""
-    if not w.is_all_terminal():
-        raise ValueError(f"string must contain only terminals: {w}")
+def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
+    """The absorbed mass of every terminal string the sweep reaches.
+
+    The sweep keeps the forms whose minimal yield fits ``bound``, so the
+    mass is exact for every string of length at most ``bound``; a longer
+    string reached in passing gets only part of its mass.  One sweep
+    serves every length up to ``bound`` because, for all three accepted
+    grammar shapes, ``_min_yield`` never decreases along a derivation.
+    Every form on a derivation of a shorter ``w``, and every ancestor of
+    such a form, is therefore kept at the larger bound too, while the
+    forms added by the larger bound cannot derive ``w``.  The linear
+    system that determines ``w``'s mass is unchanged.
+    """
     g = wg.grammar
     nullable = _search_profile(g)
-    bound = len(w)
-
-    def min_yield(form: SymbolString) -> int:
-        if not nullable:
-            return len(form)
-        return sum(1 for s in form if s not in nullable)
-
     initial = SymbolString((g.start,))
     # Discover transient (non-terminal) forms and their outgoing distributions.
     edges: dict[SymbolString, list[tuple[SymbolString, float]]] = {}
@@ -184,7 +188,7 @@ def string_probability(
         if form in edges:
             continue
         if expanded >= fuel:
-            raise FuelExhaustedError(f"fuel {fuel} exhausted computing probability of {w}")
+            raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
         expanded += 1
         try:
             distribution = normalize_weights(wg, form)
@@ -197,7 +201,7 @@ def string_probability(
             if child.is_all_terminal():
                 absorbing.add(child)
                 out.append((child, p))
-            elif min_yield(child) <= bound:
+            elif _min_yield(child, nullable) <= bound:
                 if len(child) < len(form):
                     raise ValueError(
                         f"erasure into non-terminal form {child} is unsupported "
@@ -246,19 +250,27 @@ def string_probability(
                     absorbed[child] = absorbed.get(child, 0.0) + visits * p
                 elif len(child) > length:
                     mass_in[child] = mass_in.get(child, 0.0) + visits * p
-    return absorbed.get(w, 0.0)
+    return absorbed
+
+
+def string_probability(
+    wg: WeightedGrammar, w: SymbolString, fuel: int = DEFAULT_FUEL
+) -> float:
+    """Exact probability of deriving the terminal string ``w``."""
+    if not w.is_all_terminal():
+        raise ValueError(f"string must contain only terminals: {w}")
+    return _absorption(wg, len(w), fuel).get(w, 0.0)
 
 
 def exact_distribution(
     wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL
 ) -> StringDistribution:
     """The exact distribution over derivable strings up to ``bound``."""
-    from .derivation import enumerate_language
-
-    probabilities = {
-        w: string_probability(wg, w, fuel)
-        for w in sorted(enumerate_language(wg.grammar, bound, fuel), key=lambda s: (len(s), s.names()))
-    }
+    support = sorted(enumerate_language(wg.grammar, bound, fuel), key=lambda s: (len(s), s.names()))
+    # One sweep at the longest derivable length, the largest one a
+    # per-string computation would run, serves every string in the support.
+    absorbed = _absorption(wg, max((len(w) for w in support), default=0), fuel)
+    probabilities = {w: absorbed.get(w, 0.0) for w in support}
     residual = max(0.0, 1.0 - sum(probabilities.values()))
     return StringDistribution(probabilities, bound, residual)
 

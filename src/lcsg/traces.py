@@ -22,7 +22,6 @@ the serializer accepts.  The empty string renders as ``_``.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 
 from .autoregressive import GenerationRecord, GenerationStep, PredictorState
@@ -35,6 +34,7 @@ from .bridge import (
     FormCheckStatus,
     Item,
     TraceReport,
+    _state_hash,
 )
 from .derivation import (
     DerivationStep,
@@ -74,11 +74,6 @@ _REPORT_STEP_RE = re.compile(
     r"step=(\d+) kind=(initial|interior|terminal) lhs=(.*?) -> rhs=(.*?)"
     r" check=(pass|fail|exempt)(?: reason=([A-Za-z0-9_\-]+))?\Z"
 )
-
-
-def _state_id(state: PredictorState) -> str:
-    digest = hashlib.sha256(repr((state.family, state.encoding)).encode()).hexdigest()
-    return f"A#{digest[:8]}"
 
 
 def _check_symbol(s: Symbol) -> str:
@@ -129,7 +124,7 @@ def _serialize_generation(rec: GenerationRecord) -> str:
     table: dict[str, PredictorState] = {}
 
     def register(state: PredictorState) -> str:
-        sid = _state_id(state)
+        sid = f"A#{_state_hash(state)}"
         if sid in table and table[sid] != state:
             raise ValueError(f"state id collision on {sid}")
         table[sid] = state

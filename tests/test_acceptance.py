@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 from lcsg import (
@@ -312,6 +316,41 @@ def test_criterion_7_twenty_commands_are_byte_identical_across_reruns(capsys):
         return digests
 
     assert run_all() == run_all()
+
+
+_DIGEST_COMMANDS = """
+import contextlib, hashlib, io, json, sys
+from lcsg.cli import dispatch
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    blob = f"{code}\\x00{out.getvalue()}\\x00{err.getvalue()}".encode()
+    print(hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_criterion_7_twenty_commands_are_byte_identical_across_hash_seeds():
+    # One child per hash seed; a fresh process cannot reuse any cache.
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DIGEST_COMMANDS],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            text=True,
+        )
+        for seed in ("0", "1", "12345")
+    ]
+    outputs = []
+    for child in children:
+        out, err = child.communicate(json.dumps(_COMMANDS), timeout=300)
+        assert child.returncode == 0, err
+        outputs.append(out)
+    assert len(outputs[0].splitlines()) == len(_COMMANDS)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------------------------

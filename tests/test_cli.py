@@ -42,6 +42,14 @@ def test_validate_reports_contraction(tmp_path, capsys):
     assert out == "valid noncontracting=false\n"
 
 
+def test_validate_rejects_a_terminal_start_symbol(tmp_path, capsys):
+    f = tmp_path / "terminal_start.grammar"
+    f.write_text("start: a\nterminals: a\nnonterminals: S\nS -> a\n")
+    code, out, _ = run(["validate", "-g", str(f)], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "invalid"
+
+
 def test_validate_parse_failure_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "broken.grammar"
     f.write_text("start: S\nterminals: a\nnonterminals: S\nS -> q\n")

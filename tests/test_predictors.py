@@ -171,6 +171,18 @@ def test_state_is_the_context_suffix():
     assert entries_of(pred, toks("b", "b")) == entries_of(pred, toks("b"))
 
 
+def test_state_is_the_whole_context_while_it_is_shorter_than_k():
+    pred = ngram_train([["a", "b", "c"]], 3)
+    _, s = pred.next_distribution(pred.initial_state, toks("a", "b"))
+    assert s.encoding == ("a", "b")
+    assert entries_of(pred, toks("a", "b")) == {
+        "a:T": 0.0,
+        "b:T": 0.0,
+        "c:T": 1.0,
+        "<END>": 0.0,
+    }
+
+
 def test_unseen_context_falls_back_to_uniform():
     pred = ngram_train([["a", "b", "a", "b"]], 2)
     got = entries_of(pred, toks("b", "b"))
