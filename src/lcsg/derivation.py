@@ -17,18 +17,30 @@ standard nullable-symbol closure).  Any other shrinking production raises
 The search is fuelled: expanding more than ``fuel`` forms without emptying
 the frontier raises :class:`FuelExhaustedError`, a deliberately distinct
 outcome from a definitive "not derivable".
+
+Each ``Grammar`` is compiled once, on first use, into a view that the
+grammar instance itself holds (:func:`_compiled`).  It groups the
+productions by the first symbol of their lhs, so ``successors`` tries at
+each position only the productions that start with the symbol there.  On
+the first search it also holds the search profile.  And it keeps the last
+``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
+repeated queries on one grammar object share a search; an equal grammar
+parsed again starts cold.  A search keeps at most ``fuel`` forms.  The view
+is freed with its grammar and is never pickled.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .grammar import Grammar, Production, validate_grammar
 from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
+# Searches kept per grammar: room for one query length after another up to
+# 15, while a grammar's parent maps, each up to ``fuel`` forms, stay bounded.
+_SEARCH_CACHE_SIZE = 16
 
 
 class NoMatchError(ValueError):
@@ -93,13 +105,17 @@ def apply_step(w: SymbolString, p: Production, position: int) -> SymbolString:
 
 def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
     """All one-step rewrites of ``w``, ordered by (position, production index)."""
+    by_head = _compiled(g).by_head
+    symbols = w.symbols
     steps: list[DerivationStep] = []
-    for position in range(len(w)):
-        for index, p in enumerate(g.productions):
-            if position + len(p.lhs) > len(w):
-                continue
-            if w[position:position + len(p.lhs)] == p.lhs:
-                steps.append(DerivationStep(w, index, position, apply_step(w, p, position)))
+    for position, head in enumerate(symbols):
+        for index, lhs, rhs in by_head.get(head.name, ()):
+            # The whole-tuple comparison also tells kinds apart under one
+            # name, and a window cut short by the end never matches.
+            end = position + len(lhs)
+            if symbols[position:end] == lhs:
+                after = SymbolString._of(symbols[:position] + rhs + symbols[end:])
+                steps.append(DerivationStep(w, index, position, after))
     return steps
 
 
@@ -141,22 +157,69 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
     )
 
 
-def _min_yield(form: SymbolString, nullable: frozenset[Symbol]) -> int:
-    """The fewest terminals ``form`` can derive, given ``_search_profile``'s set."""
-    if not nullable:
-        return len(form)
-    return sum(1 for s in form if s not in nullable)
-
-
 @dataclass(frozen=True)
 class _Reachability:
     parents: dict  # form -> (parent form, production_index, position) | None
     completed: bool
 
 
-@lru_cache(maxsize=256)
+class _CompiledGrammar:
+    """What rewriting and the bounded search need of one grammar.
+
+    ``by_head`` maps the name of each lhs's first symbol to the productions
+    whose lhs starts with it, as ``(index, lhs, rhs)`` symbol tuples in
+    production-index order.  ``nullable`` is ``_search_profile``'s set, or
+    ``None`` until :func:`_profiled` computes it.  ``searches`` keeps the
+    last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len,
+    fuel)`` and least recently used first.
+    """
+
+    def __init__(self, g: Grammar) -> None:
+        self.by_head: dict[str, list[tuple[int, tuple[Symbol, ...], tuple[Symbol, ...]]]] = {}
+        for index, p in enumerate(g.productions):
+            entry = (index, p.lhs.symbols, p.rhs.symbols)
+            self.by_head.setdefault(p.lhs[0].name, []).append(entry)
+        self.nullable: frozenset[Symbol] | None = None
+        self.searches: dict[tuple[int, int], _Reachability] = {}
+
+    def min_yield(self, form: SymbolString) -> int:
+        """The fewest terminals ``form`` can derive."""
+        if not self.nullable:
+            return len(form)
+        return sum(1 for s in form.symbols if s not in self.nullable)
+
+
+def _compiled(g: Grammar) -> _CompiledGrammar:
+    """``g``'s compiled view, built on first use and held by ``g`` itself."""
+    try:
+        return g.__dict__["_compiled"]
+    except KeyError:
+        view = _CompiledGrammar(g)
+        object.__setattr__(g, "_compiled", view)
+        return view
+
+
+def _profiled(g: Grammar) -> _CompiledGrammar:
+    """The compiled view with its search profile; see :func:`_search_profile`."""
+    view = _compiled(g)
+    if view.nullable is None:
+        view.nullable = _search_profile(g)
+    return view
+
+
 def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
-    nullable = _search_profile(g)
+    view = _profiled(g)
+    key = (max_len, fuel)
+    reach = view.searches.pop(key, None)
+    if reach is None:
+        reach = _search(g, view, max_len, fuel)
+        if len(view.searches) >= _SEARCH_CACHE_SIZE:
+            del view.searches[next(iter(view.searches))]
+    view.searches[key] = reach
+    return reach
+
+
+def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, tuple | None] = {initial: None}
     frontier: deque[SymbolString] = deque([initial])
@@ -168,7 +231,7 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
         expanded += 1
         for step in successors(form, g):
             child = step.after
-            if child in parents or _min_yield(child, nullable) > max_len:
+            if child in parents or view.min_yield(child) > max_len:
                 continue
             parents[child] = (form, step.production_index, step.position)
             frontier.append(child)

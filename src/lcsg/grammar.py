@@ -90,6 +90,11 @@ class Grammar:
         if not isinstance(self.productions, tuple):
             object.__setattr__(self, "productions", tuple(self.productions))
 
+    def __reduce__(self):
+        # Pickle the fields only: lcsg.derivation attaches a compiled view
+        # with its search cache on first use, rebuilt wherever it is needed.
+        return (Grammar, (self.nonterminals, self.terminals, self.start, self.productions))
+
     @property
     def alphabet(self) -> frozenset[Symbol]:
         return self.nonterminals | self.terminals

@@ -14,9 +14,15 @@ yield identical traces on every platform.
 string: the sum over all complete derivations of the product of step
 probabilities.  The computation sweeps reachable forms in increasing length
 order; probability mass that cycles among same-length forms is resolved by
-a dense linear solve, which keeps the result exact rather than iterative.
-``exact_distribution`` reads every string of its support from one such
-sweep.
+one dense float64 solve (``numpy.linalg.solve``, that is LAPACK) over each
+same-length layer.  The solve is direct, not iterative, but it is floating
+point: results are exact only up to rounding, unlike the ``Fraction``
+beliefs of the grammar predictor.  Its memory grows with the square of the
+layer size and its time with the cube, so a layer of a few thousand forms
+takes seconds and hundreds of MB.  ``exact_distribution`` reads every
+string of its support from one such sweep.  The sweep reaches forms through
+:func:`lcsg.derivation.successors` and reads the search profile from the
+grammar's compiled view.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from .derivation import (
     DerivationStep,
     DerivationTrace,
     FuelExhaustedError,
-    _min_yield,
-    _search_profile,
+    _profiled,
     enumerate_language,
     successors,
 )
@@ -169,14 +174,14 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
     mass is exact for every string of length at most ``bound``; a longer
     string reached in passing gets only part of its mass.  One sweep
     serves every length up to ``bound`` because, for all three accepted
-    grammar shapes, ``_min_yield`` never decreases along a derivation.
+    grammar shapes, the minimal yield never decreases along a derivation.
     Every form on a derivation of a shorter ``w``, and every ancestor of
     such a form, is therefore kept at the larger bound too, while the
     forms added by the larger bound cannot derive ``w``.  The linear
     system that determines ``w``'s mass is unchanged.
     """
     g = wg.grammar
-    nullable = _search_profile(g)
+    view = _profiled(g)
     initial = SymbolString((g.start,))
     # Discover transient (non-terminal) forms and their outgoing distributions.
     edges: dict[SymbolString, list[tuple[SymbolString, float]]] = {}
@@ -201,7 +206,7 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
             if child.is_all_terminal():
                 absorbing.add(child)
                 out.append((child, p))
-            elif _min_yield(child, nullable) <= bound:
+            elif view.min_yield(child) <= bound:
                 if len(child) < len(form):
                     raise ValueError(
                         f"erasure into non-terminal form {child} is unsupported "

@@ -18,6 +18,10 @@ class SymbolKind(enum.Enum):
     NONTERMINAL = "nonterminal"
 
 
+# A module global reads about ten times faster than an Enum class attribute.
+_TERMINAL = SymbolKind.TERMINAL
+
+
 # Reserved by the grammar file format and the trace format.
 _RESERVED_NAMES = frozenset({"_", "->", "|"})
 
@@ -83,6 +87,32 @@ class SymbolString:
             if not isinstance(s, Symbol):
                 raise ValueError(f"not a Symbol: {s!r}")
 
+    @classmethod
+    def _of(cls, symbols: tuple[Symbol, ...]) -> "SymbolString":
+        """Wrap a tuple of already-checked symbols, skipping ``__post_init__``.
+
+        Only for tuples cut or joined from existing ``SymbolString``s, whose
+        elements were checked when those were built.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "symbols", symbols)
+        return s
+
+    def __hash__(self) -> int:
+        # Over the names alone, whose str hashes are cached, rather than the
+        # symbols, whose dataclass hashes run in Python; equal strings have
+        # equal names.  Computed on the first hash, not at construction, and
+        # never pickled (see __reduce__): str hashes differ between processes.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash(tuple([s.name for s in self.symbols]))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return (SymbolString, (self.symbols,))
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -100,12 +130,12 @@ class SymbolString:
 
     def __getitem__(self, index: Union[int, slice]):
         if isinstance(index, slice):
-            return SymbolString(self.symbols[index])
+            return SymbolString._of(self.symbols[index])
         return self.symbols[index]
 
     def __add__(self, other: Union["SymbolString", Iterable[Symbol]]) -> "SymbolString":
         if isinstance(other, SymbolString):
-            return SymbolString(self.symbols + other.symbols)
+            return SymbolString._of(self.symbols + other.symbols)
         return SymbolString(self.symbols + tuple(other))
 
     def startswith(self, prefix: "SymbolString") -> bool:
@@ -117,7 +147,10 @@ class SymbolString:
         return self.symbols[-len(suffix.symbols):] == suffix.symbols
 
     def is_all_terminal(self) -> bool:
-        return all(s.is_terminal for s in self.symbols)
+        for s in self.symbols:
+            if s.kind is not _TERMINAL:
+                return False
+        return True
 
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.symbols)

@@ -1,0 +1,112 @@
+"""The compiled view a grammar holds, its bounded search cache, and pickling.
+
+A grammar compiles itself on first use and keeps the result, with at most
+``_SEARCH_CACHE_SIZE`` searches, until the grammar itself is freed.  Caches
+never travel in a pickle: str hashes differ between processes, and a parent
+map can hold up to ``DEFAULT_FUEL`` forms.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import weakref
+
+import pytest
+
+from conftest import load_grammar
+from lcsg import SymbolString, enumerate_language, nonterminal, successors, terminal
+from lcsg.derivation import DEFAULT_FUEL, _SEARCH_CACHE_SIZE, _bounded_reachability, _compiled
+
+
+def test_the_view_is_built_on_first_use_not_at_parse():
+    g = load_grammar("abc.grammar")
+    assert "_compiled" not in g.__dict__
+    successors(SymbolString((g.start,)), g)
+    view = _compiled(g)
+    assert view is _compiled(g)
+    assert view.nullable is None  # successors needs no search profile
+    assert view.searches == {}
+
+
+def test_the_index_groups_productions_by_lhs_head_in_index_order(abc):
+    view = _compiled(abc)
+    assert {name: [i for i, _, _ in entries] for name, entries in view.by_head.items()} == {
+        "S": [0, 1], "C": [2], "a": [3], "b": [4, 5], "c": [6],
+    }
+
+
+def test_the_cache_keeps_at_most_its_bound():
+    g = load_grammar("crossserial.grammar")
+    for max_len in range(_SEARCH_CACHE_SIZE + 5):
+        enumerate_language(g, max_len)
+    searches = _compiled(g).searches
+    assert len(searches) == _SEARCH_CACHE_SIZE
+    assert sorted(searches) == [(n, DEFAULT_FUEL) for n in range(5, _SEARCH_CACHE_SIZE + 5)]
+
+
+def test_nine_lengths_stay_cached_together():
+    # Acceptance criterion 3 queries lengths 1 to 9 of each grammar in turn.
+    g = load_grammar("abc.grammar")
+    first = {n: _bounded_reachability(g, n, DEFAULT_FUEL) for n in range(1, 10)}
+    for n in range(1, 10):
+        assert _bounded_reachability(g, n, DEFAULT_FUEL) is first[n]
+
+
+def test_the_cache_is_freed_with_its_grammar():
+    g = load_grammar("abc.grammar")
+    enumerate_language(g, 9)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_searched_grammar_pickles_without_its_caches():
+    g = load_grammar("abc.grammar")
+    blob_before = pickle.dumps(g)
+    enumerate_language(g, 9)
+    assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].parents) > 30
+    blob = pickle.dumps(g)
+    assert len(blob) == len(blob_before)
+    restored = pickle.loads(blob)
+    assert restored == g
+    assert "_compiled" not in restored.__dict__
+    assert enumerate_language(restored, 9) == enumerate_language(g, 9)
+
+
+_PICKLE_A_HASHED_STRING = """
+import pickle, sys
+from lcsg import SymbolString, nonterminal, terminal
+s = SymbolString((terminal("a"), nonterminal("S"), terminal("bc")))
+hash(s)
+sys.stdout.buffer.write(pickle.dumps(s))
+"""
+
+
+def test_a_string_hashed_and_pickled_in_another_process_is_found_in_a_set():
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = subprocess.run(
+        [sys.executable, "-c", _PICKLE_A_HASHED_STRING],
+        env=dict(os.environ, PYTHONHASHSEED=seed),
+        capture_output=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    s = pickle.loads(child.stdout)
+    assert s in {SymbolString((terminal("a"), nonterminal("S"), terminal("bc")))}
+
+
+def test_slices_and_joins_agree_with_checked_construction():
+    a = terminal("a")
+    s = SymbolString((a, a, a))
+    assert s[1:] == SymbolString((a, a))
+    assert hash(s[1:]) == hash(SymbolString((a, a)))
+    assert s + s[:1] == SymbolString((a,) * 4)
+    with pytest.raises(ValueError):
+        SymbolString((a, "a"))
+    with pytest.raises(ValueError):
+        s + ["a"]

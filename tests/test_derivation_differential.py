@@ -1,0 +1,225 @@
+"""The compiled search path agrees with the uncompiled one, step for step.
+
+``derivation_oracle`` holds ``successors`` and the bounded search as they
+were before grammars were compiled: every (position, production) pair is
+sliced and compared, and searches are cached by the whole grammar.  The
+library must give the same ``successors`` list, in the same (position,
+production index) order, the same search tree (the parent map in insertion
+order, so also the same BFS order), and the same exception type where the
+oracle raises.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import derivation_oracle as oracle
+from conftest import load_grammar
+from lcsg import (
+    Grammar,
+    Production,
+    SymbolString,
+    derives_bounded,
+    enumerate_language,
+    nonterminal,
+    parse_grammar,
+    successors,
+    terminal,
+)
+from lcsg.derivation import _bounded_reachability
+
+SEARCH_FUEL = 150  # small, so that erasing grammars whose forms grow stop quickly
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+def step_list(steps):
+    return [(s.before, s.production_index, s.position, s.after) for s in steps]
+
+
+def assert_same_successors(form: SymbolString, g: Grammar) -> None:
+    assert step_list(successors(form, g)) == step_list(oracle.successors(form, g))
+
+
+def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> None:
+    want = outcome(oracle._bounded_reachability, g, max_len, fuel)
+    got = outcome(_bounded_reachability, g, max_len, fuel)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    assert got.completed == want.completed
+    assert list(got.parents.items()) == list(want.parents.items())
+
+
+def grammar(productions) -> Grammar:
+    lines = ["start: S", "terminals: a b", "nonterminals: S A B"]
+    for lhs, rhs in productions:
+        lines.append(f"{' '.join(lhs)} -> {' '.join(rhs) or '_'}")
+    return parse_grammar("\n".join(lines) + "\n")
+
+
+# --- the named shapes ---
+
+SHAPES = {
+    "terminal-headed lhs": [("S", "a B"), ("a B", "a b"), ("B", "b")],
+    "lhs longer than the form": [("S", "a"), ("S A B", "a b b"), ("A B", "b b")],
+    "duplicate productions": [("S", "a A"), ("S", "a A"), ("a A", "a b"), ("a A", "a b")],
+    "erasing context-free rules": [("S", "A S B"), ("S", "a"), ("A", ""), ("B", "b"), ("B", "")],
+    "permitted start erasure": [("S", ""), ("S", "a A"), ("a A", "a b A"), ("a A", "a b")],
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_named_shapes_match_the_oracle(name):
+    g = grammar([(lhs.split(), rhs.split()) for lhs, rhs in SHAPES[name]])
+    alphabet = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for n in range(4):
+        for combo in itertools.product(alphabet, repeat=n):
+            assert_same_successors(SymbolString(combo), g)
+    for max_len in range(6):
+        assert_same_search(g, max_len)
+
+
+def test_a_form_shorter_than_every_lhs_has_no_successors():
+    g = grammar([(["S", "A", "B"], ["a", "b", "b"]), (["A", "B"], ["b", "b"])])
+    form = g.string_of(["S", "A"])
+    assert successors(form, g) == [] == oracle.successors(form, g)
+
+
+def test_a_terminal_and_a_nonterminal_of_one_name_stay_apart():
+    # The index is keyed by name; the full lhs comparison tells the kinds apart.
+    x_t, x_n, S = terminal("x"), nonterminal("x"), nonterminal("S")
+    g = Grammar(
+        frozenset({S, x_n}),
+        frozenset({x_t}),
+        S,
+        (
+            Production(SymbolString((S,)), SymbolString((x_t, x_n))),
+            Production(SymbolString((x_n,)), SymbolString((x_t,))),
+            Production(SymbolString((x_t, x_n)), SymbolString((x_t, x_t))),
+        ),
+    )
+    for combo in itertools.product((x_t, x_n, S), repeat=3):
+        assert_same_successors(SymbolString(combo), g)
+    assert [s.production_index for s in successors(SymbolString((x_t, x_n)), g)] == [2, 1]
+
+
+# --- the fixtures: enumeration and derivation traces too ---
+
+
+@pytest.mark.parametrize(
+    "name, max_len",
+    [("abc.grammar", 6), ("crossserial.grammar", 6), ("chain.grammar", 4), ("loop.grammar", 5)],
+)
+def test_fixture_languages_and_traces_match_the_oracle(name, max_len):
+    g = load_grammar(name)
+    assert enumerate_language(g, max_len) == oracle.enumerate_language(g, max_len)
+    alphabet = sorted(g.terminals, key=lambda s: s.name)
+    for n in range(max_len + 1):
+        for combo in itertools.product(alphabet, repeat=n):
+            w = SymbolString(combo)
+            assert derives_bounded(g, w) == oracle.derives_bounded(g, w), str(w)
+    for form in oracle._bounded_reachability(g, max_len, SEARCH_FUEL).parents:
+        assert_same_successors(form, g)
+
+
+def test_the_unhandled_contraction_fixture_is_refused_by_both():
+    g = load_grammar("classify12.grammar")
+    assert_same_search(g, 3)
+    start = SymbolString((g.start,))
+    assert_same_successors(start, g)
+    for step in successors(start, g):
+        assert_same_successors(step.after, g)
+
+
+# --- hypothesis-generated grammars and forms ---
+
+SYMBOLS = ("a", "b", "S", "A", "B")
+symbol_st = st.sampled_from(SYMBOLS)
+terminal_st = st.sampled_from(("a", "b"))
+# Any lhs with a nonterminal, so terminal heads and lhs longer than the
+# form are common, and any rhs up to three symbols, erasing included.
+lhs_st = st.lists(symbol_st, min_size=1, max_size=3).filter(
+    lambda lhs: any(s.isupper() for s in lhs)
+)
+production_st = st.tuples(lhs_st, st.lists(symbol_st, max_size=3))
+monotone_st = production_st.filter(lambda p: len(p[1]) >= len(p[0]))
+context_free_st = st.tuples(
+    st.sampled_from(("S", "A", "B")).map(lambda nt: [nt]), st.lists(symbol_st, max_size=3)
+)
+
+
+def with_duplicates(productions_st):
+    """Repeat some drawn productions, so duplicates are common."""
+    return productions_st.flatmap(
+        lambda ps: st.lists(st.sampled_from(ps), max_size=2).map(lambda extra: ps + extra)
+    )
+
+
+def searchable(rest_st, erasing: bool, start_on_rhs: bool = True):
+    """``S`` and every nonterminal rewrite, so searches get past the start
+    form and most forms can close; ``rest_st`` adds the shape under test."""
+    rhs_st = st.lists(symbol_st, min_size=1, max_size=3)
+    if not start_on_rhs:
+        rhs_st = rhs_st.filter(lambda rhs: "S" not in rhs)
+    closing = st.lists(terminal_st, min_size=0 if erasing else 1, max_size=2)
+    return st.tuples(
+        st.lists(st.tuples(st.just(["S"]), rhs_st), min_size=1, max_size=2),
+        st.tuples(st.just(["A"]), closing),
+        st.tuples(st.just(["B"]), closing),
+        with_duplicates(st.lists(rest_st, min_size=1, max_size=4)),
+    ).map(lambda t: t[0] + [t[1], t[2]] + t[3])
+
+
+small = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+max_len_st = st.integers(min_value=2, max_value=6)
+
+
+@small
+@given(
+    productions=with_duplicates(st.lists(production_st, min_size=1, max_size=6)),
+    forms=st.lists(st.lists(symbol_st, max_size=5), min_size=1, max_size=4),
+)
+def test_successors_match_the_oracle(productions, forms):
+    g = grammar(productions)
+    for names in forms:
+        assert_same_successors(g.string_of(names), g)
+
+
+@small
+@given(productions=searchable(monotone_st, erasing=False), max_len=max_len_st)
+def test_monotone_searches_match_the_oracle(productions, max_len):
+    assert_same_search(grammar(productions), max_len)
+
+
+@small
+@given(productions=searchable(context_free_st, erasing=True), max_len=max_len_st)
+def test_erasing_context_free_searches_match_the_oracle(productions, max_len):
+    assert_same_search(grammar(productions), max_len)
+
+
+@small
+@given(
+    productions=searchable(
+        monotone_st.filter(lambda p: "S" not in p[1]), erasing=False, start_on_rhs=False
+    ),
+    max_len=max_len_st,
+)
+def test_start_erasure_beside_monotone_rules_matches_the_oracle(productions, max_len):
+    assert_same_search(grammar([(["S"], [])] + productions), max_len)
+
+
+@small
+@given(productions=searchable(production_st, erasing=True), max_len=max_len_st)
+def test_any_searches_match_the_oracle(productions, max_len):
+    # Mostly refused shapes: both sides must raise the same error.
+    assert_same_search(grammar(productions), max_len)
