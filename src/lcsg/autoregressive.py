@@ -23,6 +23,7 @@ context extends the previous one.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Protocol, Union
@@ -86,8 +87,8 @@ class TokenDistribution:
             if token in seen:
                 raise ValueError(f"duplicate token: {token!r}")
             seen.add(token)
-            if p < 0.0:
-                raise ValueError(f"negative probability for {token!r}: {p}")
+            if not (math.isfinite(p) and p >= 0.0):
+                raise ValueError(f"probability for {token!r} must be finite and >= 0: {p}")
             total += p
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, not 1")

@@ -23,13 +23,11 @@ outputs are byte-identical across reruns with the same inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .autoregressive import Predictor, UnknownTokenError, generate
+from .autoregressive import GenerationRecord, Predictor, UnknownTokenError, generate
 from .bridge import (
     FormCheckStatus,
     StateBudgetExceededError,
@@ -67,55 +65,28 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 
-@dataclass
-class RunConfig:
-    """Everything a single command invocation depends on."""
-
-    command: str
-    grammar: str | None = None
-    grammar2: str | None = None
-    corpus: str | None = None
-    vocab: str | None = None
-    word: str | None = None
-    prompt: str = ""
-    predictor: str = "grammar"
-    policy: str = "greedy"
-    max_len: int = 6
-    max_t: int = 32
-    max_steps: int = 1000
-    max_context_len: int = 8
-    state_budget: int = 10_000
-    fuel: int = DEFAULT_FUEL
-    seed: int | None = None
-    k: int = 2
-    embed_dim: int = 8
-    weights_seed: int = 0
-    window: int | None = None
-    output: str | None = None
-
-
 def _load_grammar(path: str):
     return parse_grammar(Path(path).read_text())
 
 
-def _build_predictor(cfg: RunConfig) -> Predictor:
-    if cfg.predictor == "grammar":
-        if cfg.grammar is None:
+def _build_predictor(args: argparse.Namespace) -> Predictor:
+    if args.predictor == "grammar":
+        if args.grammar is None:
             raise ValueError("--predictor grammar needs -g/--grammar")
-        wg = WeightedGrammar.from_grammar(_load_grammar(cfg.grammar))
+        wg = WeightedGrammar.from_grammar(_load_grammar(args.grammar))
         return grammar_predictor(wg)
-    if cfg.predictor == "ngram":
-        if cfg.corpus is None:
+    if args.predictor == "ngram":
+        if args.corpus is None:
             raise ValueError("--predictor ngram needs --corpus")
-        corpus = read_corpus(Path(cfg.corpus).read_text())
-        vocab = read_vocab(Path(cfg.vocab).read_text()) if cfg.vocab else None
-        return ngram_train(corpus, cfg.k, vocab)
-    if cfg.predictor == "toy_attention":
-        if cfg.vocab is None:
+        corpus = read_corpus(Path(args.corpus).read_text())
+        vocab = read_vocab(Path(args.vocab).read_text()) if args.vocab else None
+        return ngram_train(corpus, args.k, vocab)
+    if args.predictor == "toy_attention":
+        if args.vocab is None:
             raise ValueError("--predictor toy_attention needs --vocab")
-        vocab = read_vocab(Path(cfg.vocab).read_text())
-        return toy_attention_predictor(cfg.weights_seed, cfg.embed_dim, vocab)
-    raise ValueError(f"unknown predictor family {cfg.predictor!r}")
+        vocab = read_vocab(Path(args.vocab).read_text())
+        return toy_attention_predictor(args.weights_seed, args.embed_dim, vocab)
+    raise ValueError(f"unknown predictor family {args.predictor!r}")
 
 
 def _parse_word(grammar, text: str) -> SymbolString:
@@ -125,16 +96,12 @@ def _parse_word(grammar, text: str) -> SymbolString:
         raise ValueError(exc.args[0]) from None
 
 
-def _prompt_string(cfg: RunConfig) -> SymbolString:
-    return SymbolString(terminal(name) for name in cfg.prompt.split())
-
-
 # ---------------------------------------------------------------------------
 # command bodies: each returns (stdout text, exit code)
 
 
-def _cmd_validate(cfg: RunConfig) -> tuple[str, int]:
-    report = validate_grammar(_load_grammar(cfg.grammar))
+def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
+    report = validate_grammar(_load_grammar(args.grammar))
     lines = [f"violation: {v}" for v in report.violations]
     flag = "true" if report.noncontracting else "false"
     if report.is_valid:
@@ -144,8 +111,8 @@ def _cmd_validate(cfg: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_NEGATIVE
 
 
-def _cmd_classify(cfg: RunConfig) -> tuple[str, int]:
-    g = _load_grammar(cfg.grammar)
+def _cmd_classify(args: argparse.Namespace) -> tuple[str, int]:
+    g = _load_grammar(args.grammar)
     lines = []
     for i, p in enumerate(g.productions):
         classes = classify_production(p)
@@ -155,9 +122,9 @@ def _cmd_classify(cfg: RunConfig) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _cmd_derive(cfg: RunConfig) -> tuple[str, int]:
-    g = _load_grammar(cfg.grammar)
-    form = _parse_word(g, cfg.word if cfg.word is not None else "")
+def _cmd_derive(args: argparse.Namespace) -> tuple[str, int]:
+    g = _load_grammar(args.grammar)
+    form = _parse_word(g, args.word)
     lines = [
         f"prod={step.production_index} pos={step.position} form={step.after}"
         for step in successors(form, g)
@@ -165,82 +132,76 @@ def _cmd_derive(cfg: RunConfig) -> tuple[str, int]:
     return ("\n".join(lines) + "\n") if lines else "", EXIT_OK
 
 
-def _cmd_enumerate(cfg: RunConfig) -> tuple[str, int]:
-    g = _load_grammar(cfg.grammar)
-    language = enumerate_language(g, cfg.max_len, cfg.fuel)
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+    g = _load_grammar(args.grammar)
+    language = enumerate_language(g, args.max_len, args.fuel)
     ordered = sorted(language, key=lambda w: (len(w), w.names()))
     lines = [str(w) for w in ordered]
     return ("\n".join(lines) + "\n") if lines else "", EXIT_OK
 
 
-def _cmd_member(cfg: RunConfig) -> tuple[str, int]:
-    g = _load_grammar(cfg.grammar)
-    word = _parse_word(g, cfg.word if cfg.word is not None else "")
-    trace = derives_bounded(g, word, cfg.fuel)
+def _cmd_member(args: argparse.Namespace) -> tuple[str, int]:
+    g = _load_grammar(args.grammar)
+    word = _parse_word(g, args.word)
+    trace = derives_bounded(g, word, args.fuel)
     if trace is None:
         print("non-member", file=sys.stderr)
         return "", EXIT_NEGATIVE
     return serialize_trace(trace), EXIT_OK
 
 
-def _cmd_sample(cfg: RunConfig) -> tuple[str, int]:
-    wg = WeightedGrammar.from_grammar(_load_grammar(cfg.grammar))
-    sampled = sample_derivation(wg, cfg.seed, cfg.max_steps)
+def _cmd_sample(args: argparse.Namespace) -> tuple[str, int]:
+    wg = WeightedGrammar.from_grammar(_load_grammar(args.grammar))
+    sampled = sample_derivation(wg, args.seed, args.max_steps)
     code = EXIT_EXHAUSTED if sampled.truncated else EXIT_OK
     if sampled.truncated:
-        print(f"truncated after {cfg.max_steps} steps", file=sys.stderr)
+        print(f"truncated after {args.max_steps} steps", file=sys.stderr)
     return serialize_trace(sampled.trace), code
 
 
-def _cmd_generate(cfg: RunConfig) -> tuple[str, int]:
-    predictor = _build_predictor(cfg)
-    rec = generate(
-        predictor,
-        _prompt_string(cfg),
-        cfg.policy,
-        cfg.seed,
-        cfg.max_t,
-        window=cfg.window,
+def _generation_run(args: argparse.Namespace) -> GenerationRecord:
+    """Build the predictor ``args`` names and run its generation loop."""
+    return generate(
+        _build_predictor(args),
+        SymbolString(terminal(name) for name in args.prompt.split()),
+        args.policy,
+        args.seed,
+        args.max_t,
+        window=args.window,
     )
-    return serialize_trace(rec), EXIT_OK
 
 
-def _cmd_extract(cfg: RunConfig) -> tuple[str, int]:
-    predictor = _build_predictor(cfg)
-    rec = generate(
-        predictor,
-        _prompt_string(cfg),
-        cfg.policy,
-        cfg.seed,
-        cfg.max_t,
-        window=cfg.window,
-    )
-    report = build_trace_report(rec)
+def _cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
+    return serialize_trace(_generation_run(args)), EXIT_OK
+
+
+def _cmd_extract(args: argparse.Namespace) -> tuple[str, int]:
+    report = build_trace_report(_generation_run(args))
     failed = any(c.status is FormCheckStatus.FAIL for c in report.form_checks)
     code = EXIT_NEGATIVE if failed or not report.conforming else EXIT_OK
     return serialize_trace(report), code
 
 
-def _cmd_induce(cfg: RunConfig) -> tuple[str, int]:
-    predictor = _build_predictor(cfg)
+def _cmd_induce(args: argparse.Namespace) -> tuple[str, int]:
+    predictor = _build_predictor(args)
     wg = induce_grammar(
         predictor,
-        max_context_len=cfg.max_context_len,
-        state_budget=cfg.state_budget,
+        max_context_len=args.max_context_len,
+        state_budget=args.state_budget,
     )
     return render_grammar(wg.grammar), EXIT_OK
 
 
-def _cmd_equiv(cfg: RunConfig) -> tuple[str, int]:
-    g1 = _load_grammar(cfg.grammar)
-    g2 = _load_grammar(cfg.grammar2)
-    verdict = check_weak_equivalence(g1, g2, cfg.max_len, cfg.fuel)
+def _cmd_equiv(args: argparse.Namespace) -> tuple[str, int]:
+    g1 = _load_grammar(args.grammar)
+    g2 = _load_grammar(args.grammar2)
+    verdict = check_weak_equivalence(g1, g2, args.max_len, args.fuel)
     if verdict.equivalent:
         return f"equivalent up to length {verdict.max_len}\n", EXIT_OK
     return f"counterexample: {verdict.counterexample}\n", EXIT_NEGATIVE
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[str, int]]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
     "validate": _cmd_validate,
     "classify": _cmd_classify,
     "derive": _cmd_derive,
@@ -378,15 +339,15 @@ _PARSER = _build_parser()
 def dispatch(argv: Sequence[str]) -> int:
     """Run one command; returns the exit code without exiting."""
     try:
-        namespace = _PARSER.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
 
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in vars(namespace).items() if k in known})
     try:
-        text, code = _COMMANDS[cfg.command](cfg)
+        text, code = _COMMANDS[args.command](args)
+        if args.output is not None:
+            Path(args.output).write_text(text)
     except (FuelExhaustedError, StateBudgetExceededError) as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
@@ -406,9 +367,7 @@ def dispatch(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if cfg.output is not None:
-        Path(cfg.output).write_text(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
     return code
 

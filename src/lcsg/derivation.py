@@ -24,8 +24,9 @@ productions by the first symbol of their lhs, so ``successors`` tries at
 each position only the productions that start with the symbol there.  On
 the first search it also holds the search profile.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
-repeated queries on one grammar object share a search; an equal grammar
-parsed again starts cold.  A search keeps at most ``fuel`` forms.  The view
+repeated queries on one grammar object share a search, the exact
+probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
+again starts cold.  A search keeps at most ``fuel`` forms.  The view
 is freed with its grammar and is never pickled.
 """
 
@@ -169,7 +170,7 @@ class _CompiledGrammar:
     ``by_head`` maps the name of each lhs's first symbol to the productions
     whose lhs starts with it, as ``(index, lhs, rhs)`` symbol tuples in
     production-index order.  ``nullable`` is ``_search_profile``'s set, or
-    ``None`` until :func:`_profiled` computes it.  ``searches`` keeps the
+    ``None`` until the first search computes it.  ``searches`` keeps the
     last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len,
     fuel)`` and least recently used first.
     """
@@ -199,16 +200,14 @@ def _compiled(g: Grammar) -> _CompiledGrammar:
         return view
 
 
-def _profiled(g: Grammar) -> _CompiledGrammar:
-    """The compiled view with its search profile; see :func:`_search_profile`."""
+def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
+    """The search over forms whose minimal yield fits ``max_len``, cached on ``g``.
+
+    Membership, enumeration and exact probabilities all read this one search.
+    """
     view = _compiled(g)
     if view.nullable is None:
         view.nullable = _search_profile(g)
-    return view
-
-
-def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
-    view = _profiled(g)
     key = (max_len, fuel)
     reach = view.searches.pop(key, None)
     if reach is None:
@@ -280,8 +279,5 @@ def enumerate_language(
     reach = _bounded_reachability(g, max_len, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted enumerating up to length {max_len}")
-    return {
-        form
-        for form in reach.parents
-        if len(form) <= max_len and form.is_all_terminal()
-    }
+    # A terminal form in the search fits the bound: its minimal yield is its length.
+    return {form for form in reach.parents if form.is_all_terminal()}

@@ -175,8 +175,7 @@ def render_grammar(g: Grammar) -> str:
         ("nonterminals: " + " ".join(sorted(s.name for s in g.nonterminals))).rstrip()
     )
     for p in g.productions:
-        rhs = " ".join(s.name for s in p.rhs) if len(p.rhs) else "_"
-        line = f"{' '.join(s.name for s in p.lhs)} -> {rhs}"
+        line = f"{p.lhs} -> {p.rhs}"
         if p.weight is not None:
             line += f" p={p.weight!r}"
         lines.append(line)

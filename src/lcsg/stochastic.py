@@ -20,9 +20,10 @@ point: results are exact only up to rounding, unlike the ``Fraction``
 beliefs of the grammar predictor.  Its memory grows with the square of the
 layer size and its time with the cube, so a layer of a few thousand forms
 takes seconds and hundreds of MB.  ``exact_distribution`` reads every
-string of its support from one such sweep.  The sweep reaches forms through
-:func:`lcsg.derivation.successors` and reads the search profile from the
-grammar's compiled view.
+string of its support from one such sweep.  The sweep explores nothing
+itself: it reads its forms from the grammar's cached bounded search, the
+one that also serves ``derives_bounded`` and ``enumerate_language``, and so
+shares that search's fuel and its 16-entry bound per grammar object.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .derivation import (
     DerivationStep,
     DerivationTrace,
     FuelExhaustedError,
-    _profiled,
+    _bounded_reachability,
     enumerate_language,
     successors,
 )
@@ -168,33 +169,29 @@ def sample_derivation(
 
 
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
-    """The absorbed mass of every terminal string the sweep reaches.
+    """The absorbed mass of every terminal string of length at most ``bound``.
 
-    The sweep keeps the forms whose minimal yield fits ``bound``, so the
-    mass is exact for every string of length at most ``bound``; a longer
-    string reached in passing gets only part of its mass.  One sweep
-    serves every length up to ``bound`` because, for all three accepted
-    grammar shapes, the minimal yield never decreases along a derivation.
-    Every form on a derivation of a shorter ``w``, and every ancestor of
-    such a form, is therefore kept at the larger bound too, while the
-    forms added by the larger bound cannot derive ``w``.  The linear
-    system that determines ``w``'s mass is unchanged.
+    The sweep reads its forms from the grammar's cached bounded search,
+    :func:`lcsg.derivation._bounded_reachability`, and explores nothing
+    itself.  The search keeps the forms whose minimal yield fits ``bound``;
+    an edge to any other form carries mass that escapes the bound.  One
+    sweep serves every length up to ``bound`` because, for all three
+    accepted grammar shapes, the minimal yield never decreases along a
+    derivation.  Every form on a derivation of a shorter ``w``, and every
+    ancestor of such a form, is therefore kept at the larger bound too,
+    while the forms added by the larger bound cannot derive ``w``.  The
+    linear system that determines ``w``'s mass is unchanged.
     """
     g = wg.grammar
-    view = _profiled(g)
-    initial = SymbolString((g.start,))
-    # Discover transient (non-terminal) forms and their outgoing distributions.
+    reach = _bounded_reachability(g, bound, fuel)
+    if not reach.completed:
+        raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
+    forms = reach.parents
+    # The transient (non-terminal) forms and their outgoing distributions.
     edges: dict[SymbolString, list[tuple[SymbolString, float]]] = {}
-    absorbing: set[SymbolString] = set()
-    frontier = [initial]
-    expanded = 0
-    while frontier:
-        form = frontier.pop()
-        if form in edges:
+    for form in forms:
+        if form.is_all_terminal():
             continue
-        if expanded >= fuel:
-            raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-        expanded += 1
         try:
             distribution = normalize_weights(wg, form)
         except (DeadEndError, ZeroMassError):
@@ -203,22 +200,18 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
         out: list[tuple[SymbolString, float]] = []
         for step, p in distribution:
             child = step.after
-            if child.is_all_terminal():
-                absorbing.add(child)
-                out.append((child, p))
-            elif view.min_yield(child) <= bound:
-                if len(child) < len(form):
-                    raise ValueError(
-                        f"erasure into non-terminal form {child} is unsupported "
-                        "for exact probabilities"
-                    )
-                out.append((child, p))
-                frontier.append(child)
-            # else: mass escapes the bound and is dropped.
+            if child not in forms:
+                continue  # the mass escapes the bound and is dropped
+            if len(child) < len(form) and not child.is_all_terminal():
+                raise ValueError(
+                    f"erasure into non-terminal form {child} is unsupported "
+                    "for exact probabilities"
+                )
+            out.append((child, p))
         edges[form] = out
 
     absorbed: dict[SymbolString, float] = {}
-    mass_in: dict[SymbolString, float] = {initial: 1.0}
+    mass_in: dict[SymbolString, float] = {SymbolString((g.start,)): 1.0}
     for length in sorted({len(f) for f in edges}):
         layer = sorted(
             (f for f in edges if len(f) == length),
@@ -251,7 +244,7 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
             if visits == 0.0:
                 continue
             for child, p in edges[f]:
-                if child in absorbing:
+                if child not in edges:
                     absorbed[child] = absorbed.get(child, 0.0) + visits * p
                 elif len(child) > length:
                     mass_in[child] = mass_in.get(child, 0.0) + visits * p

@@ -99,7 +99,16 @@ def _render_items(items: tuple[Item, ...]) -> str:
 
 
 def _render_names(s: SymbolString) -> str:
-    return " ".join(_check_symbol(sym) for sym in s) if len(s) else "_"
+    for sym in s:
+        _check_symbol(sym)
+    return str(s)
+
+
+def _parse_names(raw: str) -> SymbolString:
+    """The inverse of :func:`_render_names`: ``_`` or terminal names."""
+    if raw == "_":
+        return SymbolString(())
+    return SymbolString(terminal(name) for name in raw.split())
 
 
 def _parse_encoding(raw: str, line: int) -> tuple[str, object]:
@@ -175,11 +184,7 @@ def _parse_generation(lines: list[str]) -> GenerationRecord:
         )
     if initial_id not in states:
         raise TraceParseError("initial state id is not in the table", 1)
-    prompt = (
-        SymbolString(())
-        if prompt_raw == "_"
-        else SymbolString(terminal(n) for n in prompt_raw.split())
-    )
+    prompt = _parse_names(prompt_raw)
     final = prompt + tuple(s.token for s in steps)
     return GenerationRecord(
         prompt=prompt,
@@ -201,9 +206,8 @@ def _serialize_derivation(trace: DerivationTrace) -> str:
     lines = ["kind=derivation"]
     lines.extend(f"g {line}" for line in render_grammar(trace.grammar).splitlines())
     for i, step in enumerate(trace.steps):
-        after = " ".join(step.after.names()) if len(step.after) else "_"
         lines.append(
-            f"step={i} prod={step.production_index} pos={step.position} after={after}"
+            f"step={i} prod={step.production_index} pos={step.position} after={step.after}"
         )
     return "\n".join(lines) + "\n"
 
@@ -327,16 +331,10 @@ def _parse_report(lines: list[str]) -> TraceReport:
             )
         )
         checks.append(FormCheck(_STATUS_BY_VALUE[status], reason))
-    if replay_raw is None:
-        replay_result = None
-    elif replay_raw == "_":
-        replay_result = SymbolString(())
-    else:
-        replay_result = SymbolString(terminal(n) for n in replay_raw.split())
     return TraceReport(
         productions=tuple(productions),
         form_checks=tuple(checks),
-        replay_result=replay_result,
+        replay_result=None if replay_raw is None else _parse_names(replay_raw),
         conforming=_bool(conforming),
         seed=int(seed),
         policy=policy,

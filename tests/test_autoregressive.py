@@ -66,6 +66,13 @@ def test_distribution_validates_mass():
         TokenDistribution(((x, 0.5), (x, 0.5)))
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_distribution_rejects_non_finite_probabilities(p):
+    # NaN slips past both a sign test and a sum test; infinities must not pass either.
+    with pytest.raises(ValueError, match="finite"):
+        TokenDistribution(((x, p), (END, 1.0)))
+
+
 def test_argmax_breaks_ties_toward_the_earliest_entry():
     d = TokenDistribution(((x, 0.5), (y, 0.5), (END, 0.0)))
     assert d.argmax() == x

@@ -310,6 +310,16 @@ def test_output_flag_writes_the_file(tmp_path, capsys):
     ]
 
 
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(["validate", "-g", ABC, "-o", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_repeat_invocations_are_byte_identical(capsys):
     argv = ["generate", "-g", CHAIN, "--policy", "sample", "--seed", "42"]
     first = run(argv, capsys)

@@ -18,7 +18,15 @@ import weakref
 import pytest
 
 from conftest import load_grammar
-from lcsg import SymbolString, enumerate_language, nonterminal, successors, terminal
+from lcsg import (
+    SymbolString,
+    WeightedGrammar,
+    enumerate_language,
+    nonterminal,
+    string_probability,
+    successors,
+    terminal,
+)
 from lcsg.derivation import DEFAULT_FUEL, _SEARCH_CACHE_SIZE, _bounded_reachability, _compiled
 
 
@@ -54,6 +62,21 @@ def test_nine_lengths_stay_cached_together():
     first = {n: _bounded_reachability(g, n, DEFAULT_FUEL) for n in range(1, 10)}
     for n in range(1, 10):
         assert _bounded_reachability(g, n, DEFAULT_FUEL) is first[n]
+
+
+def test_enumeration_and_exact_probabilities_share_one_search():
+    key = (6, DEFAULT_FUEL)
+    g = load_grammar("abc.grammar")
+    w = g.string_of("a a b b c c".split())
+    assert w in enumerate_language(g, 6)
+    search = _compiled(g).searches[key]
+    assert string_probability(WeightedGrammar.from_grammar(g), w) > 0.0
+    assert list(_compiled(g).searches) == [key]
+    assert _compiled(g).searches[key] is search
+    # The probability alone runs the search that enumeration then reuses.
+    g = load_grammar("abc.grammar")
+    assert string_probability(WeightedGrammar.from_grammar(g), w) > 0.0
+    assert list(_compiled(g).searches) == [key]
 
 
 def test_the_cache_is_freed_with_its_grammar():

@@ -14,7 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import stochastic_oracle as oracle
 from conftest import load_weighted
-from lcsg import WeightedGrammar, exact_distribution, parse_grammar, string_probability
+from lcsg import (
+    FuelExhaustedError,
+    WeightedGrammar,
+    exact_distribution,
+    parse_grammar,
+    string_probability,
+)
 
 TOLERANCE = 1e-12
 
@@ -82,6 +88,15 @@ def test_a_support_shorter_than_the_bound_matches_the_oracle():
 )
 def test_edge_shapes_match_the_oracle(productions, bound):
     assert_same_distribution(inline(productions), bound)
+
+
+def test_a_fuel_too_small_for_the_search_exhausts_both_entry_points():
+    wg = load_weighted("abc.grammar")
+    w = wg.grammar.string_of("a a b b c c".split())
+    with pytest.raises(FuelExhaustedError):
+        string_probability(wg, w, fuel=3)
+    with pytest.raises(FuelExhaustedError):
+        exact_distribution(wg, 6, fuel=3)
 
 
 # --- hypothesis-generated small weighted grammars ---
