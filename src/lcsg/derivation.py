@@ -144,13 +144,12 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
     permitted lone ``start ->`` empty production), and the nullable closure
     for single-nonterminal-lhs grammars with erasing productions.
     """
-    erasing = [p for p in g.productions if len(p.rhs) == 0]
     shrinking = [p for p in g.productions if len(p.rhs) < len(p.lhs)]
     if not shrinking:
         return frozenset()
     if all(len(p.lhs) == 1 for p in g.productions):
         return _nullable_closure(g)
-    if not [p for p in shrinking if p not in erasing] and validate_grammar(g).noncontracting:
+    if validate_grammar(g).noncontracting:
         # Only the permitted start erasure shrinks; it fires once, at the start form.
         return frozenset()
     raise NotNoncontractingError(

@@ -174,9 +174,5 @@ def render_grammar(g: Grammar) -> str:
     lines.append(
         ("nonterminals: " + " ".join(sorted(s.name for s in g.nonterminals))).rstrip()
     )
-    for p in g.productions:
-        line = f"{p.lhs} -> {p.rhs}"
-        if p.weight is not None:
-            line += f" p={p.weight!r}"
-        lines.append(line)
+    lines.extend(str(p) for p in g.productions)
     return "\n".join(lines) + "\n"

@@ -115,7 +115,7 @@ class GrammarPredictor:
         self.vocabulary: tuple[Symbol, ...] = tuple(
             sorted(g.terminals, key=lambda s: s.name)
         )
-        self._terminal_names = {s.name for s in g.terminals}
+        self._terminals = {s for s in g.terminals if s.is_terminal}
         self._context_need = max((len(p.lhs) - 1 for p in g.productions), default=0)
         self._table: dict[str, list[_Expansion]] = {}
         for p, w in zip(g.productions, wg.weights):
@@ -229,7 +229,7 @@ class GrammarPredictor:
         self, state: PredictorState, context: SymbolString
     ) -> tuple[TokenDistribution, PredictorState]:
         for s in context:
-            if s.name not in self._terminal_names or not s.is_terminal:
+            if s not in self._terminals:
                 raise UnknownTokenError(f"token outside the grammar's terminals: {s!r}")
         belief, recent = self._belief_for(context.names())
 
@@ -273,7 +273,7 @@ class NgramPredictor:
     ):
         self.k = k
         self.vocabulary = vocabulary
-        self._names = {s.name for s in vocabulary}
+        self._vocabulary = {s for s in vocabulary if s.is_terminal}
         self._table = table
         uniform = 1.0 / (len(vocabulary) + 1)
         self._fallback = tuple(
@@ -285,7 +285,7 @@ class NgramPredictor:
         self, state: PredictorState, context: SymbolString
     ) -> tuple[TokenDistribution, PredictorState]:
         for s in context:
-            if s.name not in self._names or not s.is_terminal:
+            if s not in self._vocabulary:
                 raise UnknownTokenError(f"token outside the vocabulary: {s!r}")
         names = context.names()
         suffix = names[max(0, len(names) - self.k):] if self.k else ()
@@ -354,7 +354,7 @@ class ToyAttentionPredictor:
         self.seed = seed
         self.embed_dim = embed_dim
         self.vocabulary = vocabulary
-        self._index = {s.name: i for i, s in enumerate(vocabulary)}
+        self._index = {s: i for i, s in enumerate(vocabulary) if s.is_terminal}
         n, d = len(vocabulary), embed_dim
         rng = np.random.default_rng(seed)
         self.embeddings = rng.uniform(-0.5, 0.5, (n, d))
@@ -374,11 +374,11 @@ class ToyAttentionPredictor:
     ) -> tuple[TokenDistribution, PredictorState]:
         rows = [self.bos + self.positional[0]]
         for i, s in enumerate(context, start=1):
-            if s.name not in self._index or not s.is_terminal:
+            if s not in self._index:
                 raise UnknownTokenError(f"token outside the vocabulary: {s!r}")
             if i >= _MAX_POSITIONS:
                 raise ValueError(f"context exceeds {_MAX_POSITIONS - 1} tokens")
-            rows.append(self.embeddings[self._index[s.name]] + self.positional[i])
+            rows.append(self.embeddings[self._index[s]] + self.positional[i])
         x = np.stack(rows)
         q, k, v = x @ self.w_query, x @ self.w_key, x @ self.w_value
         scores = (q @ k.T) / math.sqrt(self.embed_dim)

@@ -76,17 +76,10 @@ class WeightedGrammar:
         for w in self.weights:
             if not np.isfinite(w) or w < 0.0:
                 raise ValueError(f"weights must be finite and >= 0: {w}")
-        lhs_nonterminals = {
-            s
-            for p in self.grammar.productions
-            for s in p.lhs
-            if s.is_nonterminal
-        }
-        for nt in lhs_nonterminals:
-            if not any(
-                w > 0.0 and nt in p.lhs.symbols
-                for p, w in zip(self.grammar.productions, self.weights)
-            ):
+        productions = self.grammar.productions
+        rewritten = {s for p, w in zip(productions, self.weights) if w > 0.0 for s in p.lhs}
+        for nt in [s for p in productions for s in p.lhs if s.is_nonterminal]:
+            if nt not in rewritten:
                 raise ValueError(f"no positive weight rewrites {nt.name}")
 
     @classmethod
@@ -277,7 +270,8 @@ def total_variation(d1: StringDistribution, d2: StringDistribution) -> float:
     """Half the L1 distance, counting residual mass as disagreement."""
     if d1.bound != d2.bound:
         raise BoundMismatchError(f"bounds differ: {d1.bound} != {d2.bound}")
-    support = set(d1.probabilities) | set(d2.probabilities)
+    # Summed in a fixed order: a float sum in set order would vary between runs.
+    support = sorted({*d1.probabilities, *d2.probabilities}, key=lambda w: (len(w), w.names()))
     diff = sum(
         abs(d1.probabilities.get(w, 0.0) - d2.probabilities.get(w, 0.0)) for w in support
     )

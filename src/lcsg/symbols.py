@@ -4,11 +4,17 @@ Every grammar-facing module works over the same two value types: ``Symbol``,
 a named terminal or nonterminal, and ``SymbolString``, an immutable sequence
 of symbols.  The empty ``SymbolString`` is the canonical representation of
 the empty string.
+
+Symbols are interned, one live instance per (name, kind), so they compare
+and hash by identity.  Identity hashes differ between runs, so no output may
+follow the iteration order of a set of symbols or of symbol strings.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union, overload
 
@@ -25,37 +31,57 @@ _TERMINAL = SymbolKind.TERMINAL
 # Reserved by the grammar file format and the trace format.
 _RESERVED_NAMES = frozenset({"_", "->", "|"})
 
+# One table per kind, name -> live symbol; weak, so a symbol nothing holds is freed.
+_INTERNED = {kind: weakref.WeakValueDictionary() for kind in SymbolKind}
+_TERMINALS, _NONTERMINALS = _INTERNED[_TERMINAL], _INTERNED[SymbolKind.NONTERMINAL]
+# Makes a miss's setdefault atomic, so two threads never create two instances of one symbol.
+_INTERN_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Symbol:
     """A single terminal or nonterminal.
 
     Names must be non-empty, contain no whitespace, and avoid the tokens the
-    file formats claim for themselves.  Two symbols are equal iff both name
-    and kind agree, so a terminal ``x`` and a nonterminal ``x`` are distinct
+    file formats claim for themselves; a name is checked when first interned.
+    Constructing, pickling and copying return the one live instance of a
+    (name, kind), so a terminal ``x`` and a nonterminal ``x`` are distinct
     values (grammar validation reports the name collision).
     """
 
+    __slots__ = ("name", "kind", "__weakref__")
     name: str
     kind: SymbolKind
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("symbol name must be non-empty")
-        if any(ch.isspace() for ch in self.name):
-            raise ValueError(f"symbol name contains whitespace: {self.name!r}")
-        if self.name in _RESERVED_NAMES:
-            raise ValueError(f"symbol name is reserved: {self.name!r}")
-        if not isinstance(self.kind, SymbolKind):
-            raise ValueError(f"kind must be a SymbolKind, got {self.kind!r}")
+    def __new__(cls, name: str, kind: SymbolKind) -> "Symbol":
+        table = _INTERNED.get(kind) if isinstance(kind, SymbolKind) else None
+        symbol = None if table is None else table.get(name)
+        if symbol is None:
+            if not name:
+                raise ValueError("symbol name must be non-empty")
+            if any(ch.isspace() for ch in name):
+                raise ValueError(f"symbol name contains whitespace: {name!r}")
+            if name in _RESERVED_NAMES:
+                raise ValueError(f"symbol name is reserved: {name!r}")
+            if table is None:
+                raise ValueError(f"kind must be a SymbolKind, got {kind!r}")
+            symbol = object.__new__(cls)
+            object.__setattr__(symbol, "name", name)
+            object.__setattr__(symbol, "kind", kind)
+            with _INTERN_LOCK:
+                symbol = table.setdefault(name, symbol)
+        return symbol
+
+    def __reduce__(self):
+        return (Symbol, (self.name, self.kind))
 
     @property
     def is_terminal(self) -> bool:
-        return self.kind is SymbolKind.TERMINAL
+        return self.kind is _TERMINAL
 
     @property
     def is_nonterminal(self) -> bool:
-        return self.kind is SymbolKind.NONTERMINAL
+        return self.kind is not _TERMINAL
 
     def __repr__(self) -> str:
         tag = "T" if self.is_terminal else "N"
@@ -63,11 +89,11 @@ class Symbol:
 
 
 def terminal(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.TERMINAL)
+    return _TERMINALS.get(name) or Symbol(name, _TERMINAL)
 
 
 def nonterminal(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.NONTERMINAL)
+    return _NONTERMINALS.get(name) or Symbol(name, SymbolKind.NONTERMINAL)
 
 
 @dataclass(frozen=True)
@@ -97,21 +123,6 @@ class SymbolString:
         s = object.__new__(cls)
         object.__setattr__(s, "symbols", symbols)
         return s
-
-    def __hash__(self) -> int:
-        # Over the names alone, whose str hashes are cached, rather than the
-        # symbols, whose dataclass hashes run in Python; equal strings have
-        # equal names.  Computed on the first hash, not at construction, and
-        # never pickled (see __reduce__): str hashes differ between processes.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash(tuple([s.name for s in self.symbols]))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        return (SymbolString, (self.symbols,))
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -142,6 +143,25 @@ def test_sample_truncation_exhausts(tmp_path, capsys):
     )
     assert code == 3
     assert "truncated" in err
+
+
+def test_sample_names_the_first_nonterminal_without_weight_at_every_hash_seed(tmp_path):
+    f = tmp_path / "zero.grammar"
+    f.write_text(
+        "start: S\nterminals: a\nnonterminals: S A B C D E F\nS -> a\n"
+        + "".join(f"{nt} -> a p=0\n" for nt in "ABCDEF")
+    )
+    for seed in ("0", "1", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lcsg.cli", "sample", "-g", str(f), "--seed", "0"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: no positive weight rewrites A\n"
+        ), seed
 
 
 # --- generate / extract ---

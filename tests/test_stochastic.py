@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from lcsg import (
@@ -203,6 +207,34 @@ def test_total_variation_counts_residual_mismatch(loop):
     d1 = StringDistribution({g.string_of(["a"]): 1.0}, bound=1, residual=0.0)
     d2 = StringDistribution({g.string_of(["a"]): 0.6}, bound=1, residual=0.4)
     assert total_variation(d1, d2) == pytest.approx(0.4, abs=1e-15)
+
+
+_TOTAL_VARIATION = """
+import itertools, random
+from lcsg import StringDistribution, SymbolString, terminal, total_variation
+words = [
+    SymbolString(terminal(n) for n in w)
+    for k in range(1, 6) for w in itertools.product("abc", repeat=k)
+][:300]
+rng = random.Random(0)
+d1, d2 = (StringDistribution({w: rng.random() / 300 for w in words}, 5) for _ in range(2))
+print(repr(total_variation(d1, d2)))
+"""
+
+
+def test_total_variation_is_identical_across_hash_seeds():
+    outputs = set()
+    for seed in ("0", "1", "12345"):
+        child = subprocess.run(
+            [sys.executable, "-c", _TOTAL_VARIATION],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.add(child.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_empirical_frequencies_approach_exact_probabilities(loop):
