@@ -151,8 +151,7 @@ class GrammarPredictor:
             if not pending:
                 return belief
             grown: dict[_Status, Fraction] = {}
-            for status in sorted(belief, key=_status_key):
-                mass = belief[status]
+            for status, mass in belief.items():
                 buffer, nt = status
                 if buffer or nt is None:
                     grown[status] = grown.get(status, zero) + mass
@@ -189,7 +188,7 @@ class GrammarPredictor:
         for name in names:
             kept: dict[_Status, Fraction] = {}
             kept_mass = zero
-            for status in sorted(belief, key=_status_key):
+            for status in belief:
                 buffer, nt = status
                 if buffer and buffer[0] == name:
                     child: _Status = (buffer[1:], nt)
@@ -208,7 +207,7 @@ class GrammarPredictor:
     ) -> PredictorState:
         statuses = tuple(
             (buf, nt, (belief[(buf, nt)].numerator, belief[(buf, nt)].denominator))
-            for buf, nt in sorted(belief, key=_status_key)
+            for buf, nt in sorted(belief, key=lambda s: (s[0], s[1] or ""))
         )
         return PredictorState(self.family, (recent, statuses))
 
@@ -236,7 +235,7 @@ class GrammarPredictor:
         zero = Fraction(0)
         per_token = {s.name: zero for s in self.vocabulary}
         end_mass = zero
-        for (buffer, nt), p in sorted(belief.items(), key=lambda kv: _status_key(kv[0])):
+        for (buffer, nt), p in belief.items():
             if buffer:
                 per_token[buffer[0]] += p
             elif nt is None:
@@ -246,10 +245,6 @@ class GrammarPredictor:
         ]
         entries.append((END, float(end_mass)))
         return TokenDistribution(tuple(entries)), self._encode(belief, recent)
-
-
-def _status_key(status: _Status) -> tuple:
-    return (status[0], status[1] or "")
 
 
 def grammar_predictor(wg: WeightedGrammar) -> GrammarPredictor:

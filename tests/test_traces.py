@@ -206,3 +206,77 @@ def test_blank_lines_are_ignored():
     text = serialize_trace(rec)
     padded = "\n" + text.replace("\nstep=", "\n\nstep=") + "\n\n"
     assert parse_trace(padded) == rec
+
+
+# --- names and step numbers the serializer cannot write
+
+GEN_HEAD = (
+    "kind=generation seed=1 policy=greedy termination=END_sampled"
+    " conforming=true initial=A#00000000 prompt={}\n"
+    "state A#00000000 ('ngram', ())\n"
+)
+REPORT_HEAD = (
+    "kind=report seed=1 policy=greedy termination=END_sampled conforming=true{}\n"
+    "nt A#00000000 t=0 ('ngram', ())\n"
+)
+
+
+def assert_refused_at(text, line):
+    with pytest.raises(TraceParseError) as info:
+        parse_trace(text)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("name", ["B_dyn", "A#deadbeef", "A#00000000", "|", "_", "->"])
+def test_token_names_the_serializer_cannot_write_are_refused(name):
+    step = f"step=0 before=A#00000000 token={name} after=A#00000000\n"
+    assert_refused_at(GEN_HEAD.format("_") + step, 3)
+
+
+@pytest.mark.parametrize("names", ["B_dyn", "a A#00000000", "|", "a _"])
+def test_prompt_names_the_serializer_cannot_write_are_refused(names):
+    assert_refused_at(GEN_HEAD.format(names), 1)
+
+
+@pytest.mark.parametrize("names", ["B_dyn", "a A#00000000", "|", "a _"])
+def test_replay_names_the_serializer_cannot_write_are_refused(names):
+    step = "step=0 kind=initial lhs=B_dyn -> rhs=a A#00000000 check=pass\n"
+    assert_refused_at(REPORT_HEAD.format(f" replay={names}") + step, 1)
+
+
+@pytest.mark.parametrize("lhs", ["|", "a _ A#00000000", "->"])
+def test_item_names_the_serializer_cannot_write_are_refused(lhs):
+    step = f"step=0 kind=initial lhs={lhs} -> rhs=a A#00000000 check=pass\n"
+    assert_refused_at(REPORT_HEAD.format("") + step, 3)
+
+
+def test_derivation_forms_with_undeclared_names_are_refused():
+    text = (
+        "kind=derivation\ng start: S\ng terminals: a\ng nonterminals: S\ng S -> a\n"
+        "step=0 prod=0 pos=0 after=z\n"
+    )
+    assert_refused_at(text, 6)
+
+
+def step_numbered_texts():
+    rec = generate(bigram_pred(), SymbolString(()), "greedy", seed=0, max_t=4)
+    g = load_grammar("abc.grammar")
+    derivation = derives_bounded(g, g.string_of(["a", "a", "b", "b", "c", "c"]))
+    return [serialize_trace(v) for v in (rec, derivation, build_trace_report(rec))]
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["generation", "derivation", "report"])
+@pytest.mark.parametrize("how", ["deleted", "swapped", "renumbered"])
+def test_step_lines_must_be_numbered_in_file_order(kind, how):
+    lines = step_numbered_texts()[kind].splitlines()
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("step=1 "))
+    assert lines[first + 1].startswith("step=2 ")
+    if how == "deleted":
+        del lines[first]
+    elif how == "swapped":
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    else:
+        lines[first] = "step=7 " + lines[first].split(" ", 1)[1]
+    with pytest.raises(TraceParseError, match="step=") as info:
+        parse_trace("\n".join(lines) + "\n")
+    assert info.value.line == first + 1
