@@ -76,9 +76,15 @@ class DynamicStart:
 B_DYN = DynamicStart()
 
 
-def _state_hash(state: PredictorState) -> str:
-    """The eight-hex-digit id that names ``state`` in grammars and traces."""
-    return hashlib.sha256(repr((state.family, state.encoding)).encode()).hexdigest()[:8]
+def _state_hash(state: PredictorState, text: str | None = None) -> str:
+    """The eight-hex-digit id that names ``state`` in grammars and traces.
+
+    The id hashes the state's text, ``repr((state.family, state.encoding))``;
+    a caller that has built that text already passes it as ``text``.
+    """
+    if text is None:
+        text = repr((state.family, state.encoding))
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 
 from lcsg import (
@@ -16,13 +18,15 @@ from lcsg import (
     build_trace_report,
     derives_bounded,
     generate,
+    grammar_predictor,
     ngram_train,
     parse_grammar,
     parse_trace,
     serialize_trace,
     terminal,
+    toy_attention_predictor,
 )
-from conftest import load_grammar
+from conftest import load_grammar, load_weighted
 
 
 def bigram_pred():
@@ -184,9 +188,9 @@ def test_parser_rejects_malformed_input():
 def test_parser_rejects_dangling_state_references():
     text = (
         "kind=generation seed=1 policy=greedy termination=END_sampled"
-        " conforming=true initial=A#00000000 prompt=_\n"
-        "state A#00000000 ('ngram', ())\n"
-        "step=0 before=A#11111111 token=b after=A#00000000\n"
+        " conforming=true initial=A#b2b51ef6 prompt=_\n"
+        "state A#b2b51ef6 ('ngram', ())\n"
+        "step=0 before=A#11111111 token=b after=A#b2b51ef6\n"
     )
     with pytest.raises(TraceParseError) as info:
         parse_trace(text)
@@ -212,12 +216,12 @@ def test_blank_lines_are_ignored():
 
 GEN_HEAD = (
     "kind=generation seed=1 policy=greedy termination=END_sampled"
-    " conforming=true initial=A#00000000 prompt={}\n"
-    "state A#00000000 ('ngram', ())\n"
+    " conforming=true initial=A#b2b51ef6 prompt={}\n"
+    "state A#b2b51ef6 ('ngram', ())\n"
 )
 REPORT_HEAD = (
     "kind=report seed=1 policy=greedy termination=END_sampled conforming=true{}\n"
-    "nt A#00000000 t=0 ('ngram', ())\n"
+    "nt A#b2b51ef6 t=0 ('ngram', ())\n"
 )
 
 
@@ -227,27 +231,57 @@ def assert_refused_at(text, line):
     assert info.value.line == line
 
 
-@pytest.mark.parametrize("name", ["B_dyn", "A#deadbeef", "A#00000000", "|", "_", "->"])
+@pytest.mark.parametrize("name", ["B_dyn", "A#deadbeef", "A#b2b51ef6", "|", "_", "->"])
 def test_token_names_the_serializer_cannot_write_are_refused(name):
-    step = f"step=0 before=A#00000000 token={name} after=A#00000000\n"
+    step = f"step=0 before=A#b2b51ef6 token={name} after=A#b2b51ef6\n"
     assert_refused_at(GEN_HEAD.format("_") + step, 3)
 
 
-@pytest.mark.parametrize("names", ["B_dyn", "a A#00000000", "|", "a _"])
+@pytest.mark.parametrize("names", ["B_dyn", "a A#b2b51ef6", "|", "a _"])
 def test_prompt_names_the_serializer_cannot_write_are_refused(names):
     assert_refused_at(GEN_HEAD.format(names), 1)
 
 
-@pytest.mark.parametrize("names", ["B_dyn", "a A#00000000", "|", "a _"])
+@pytest.mark.parametrize("names", ["B_dyn", "a A#b2b51ef6", "|", "a _"])
 def test_replay_names_the_serializer_cannot_write_are_refused(names):
-    step = "step=0 kind=initial lhs=B_dyn -> rhs=a A#00000000 check=pass\n"
+    step = "step=0 kind=initial lhs=B_dyn -> rhs=a A#b2b51ef6 check=pass\n"
     assert_refused_at(REPORT_HEAD.format(f" replay={names}") + step, 1)
 
 
-@pytest.mark.parametrize("lhs", ["|", "a _ A#00000000", "->"])
+@pytest.mark.parametrize("lhs", ["|", "a _ A#b2b51ef6", "->"])
 def test_item_names_the_serializer_cannot_write_are_refused(lhs):
-    step = f"step=0 kind=initial lhs={lhs} -> rhs=a A#00000000 check=pass\n"
+    step = f"step=0 kind=initial lhs={lhs} -> rhs=a A#b2b51ef6 check=pass\n"
     assert_refused_at(REPORT_HEAD.format("") + step, 3)
+
+
+SIDECAR_HEADS = pytest.mark.parametrize(
+    "head", [GEN_HEAD.format("_"), REPORT_HEAD.format("")], ids=["state", "nt"]
+)
+
+
+@SIDECAR_HEADS
+def test_sidecar_ids_must_match_their_encodings(head):
+    edited = head.replace("('ngram', ())", "('ngram', ('a',))")
+    with pytest.raises(TraceParseError, match="does not match its encoding") as info:
+        parse_trace(edited)
+    assert info.value.line == 2
+
+
+@SIDECAR_HEADS
+def test_sidecar_ids_are_declared_once(head):
+    sidecar = head.splitlines()[1]
+    with pytest.raises(TraceParseError, match="declared twice") as info:
+        parse_trace(head + sidecar + "\n")
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("lhs", ["a b ", "a b\tA#b2b51ef6", "a  b A#b2b51ef6", " A#b2b51ef6"])
+def test_report_sides_spaced_unlike_the_serializer_still_parse_name_by_name(lhs):
+    rhs = "a b c A#b2b51ef6"
+    step = f"step=0 kind=interior lhs={lhs} -> rhs={rhs} check=pass\n"
+    p = parse_trace(REPORT_HEAD.format("") + step).productions[0]
+    for items, raw in ((p.lhs, lhs), (p.rhs, rhs)):
+        assert [getattr(i, "name", None) or repr(i) for i in items] == raw.split()
 
 
 def test_derivation_forms_with_undeclared_names_are_refused():
@@ -280,3 +314,36 @@ def test_step_lines_must_be_numbered_in_file_order(kind, how):
     with pytest.raises(TraceParseError, match="step=") as info:
         parse_trace("\n".join(lines) + "\n")
     assert info.value.line == first + 1
+
+
+# --- sidecar encodings are decoded without compiling them
+
+
+def uncompiled_runs():
+    toy = toy_attention_predictor(0, 8, tuple(f"w{i:02d}" for i in range(32)))
+    long_toy = generate(toy, SymbolString(()), "greedy", seed=0, max_t=63)
+    assert len(long_toy.steps) == 63
+    loop = grammar_predictor(load_weighted("loop.grammar"))
+    kgram = ngram_train([["a", "b", "a", "b"], ["a", "c"], ["b", "b", "c", "a"]], 2)
+    a = SymbolString((terminal("a"),))
+    return [
+        long_toy,
+        generate(toy, SymbolString((terminal("w03"),)), "sample", seed=5, max_t=12),
+        generate(loop, SymbolString(()), "sample", seed=1, max_t=8),
+        generate(loop, a, "greedy", seed=0, max_t=6),
+        generate(kgram, SymbolString(()), "sample", seed=13, max_t=8),
+        generate(kgram, a, "greedy", seed=0, max_t=5),
+    ]
+
+
+def test_serialized_encodings_parse_without_compiling(monkeypatch):
+    values = [v for rec in uncompiled_runs() for v in (rec, build_trace_report(rec))]
+    texts = [serialize_trace(v) for v in values]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ast.parse called")
+
+    with monkeypatch.context() as patched:  # undone before pytest renders a failure
+        patched.setattr(ast, "parse", refuse)
+        parsed = [parse_trace(text) for text in texts]
+    assert parsed == values

@@ -9,17 +9,28 @@ named like trace rendering, a nonterminal item, or a report whose form
 checks do not match its productions), both must raise the same exception
 type with the same message.
 
+Reports are also drawn with their productions shuffled, duplicated or
+edited, so that consecutive lines do not chain and the serializer and
+parser take their general path instead of reusing the line before.
+
 On malformed text the library is stricter than the oracle: it refuses
 names the serializer cannot write (``B_dyn`` or an id as a terminal, a
-reserved name, an undeclared grammar symbol) and step lines not numbered
-0, 1, 2, ... in file order, where the oracle parses them.  So only text
-the serializer wrote is compared here; the refusals are tested in
-``test_traces.py``.
+reserved name, an undeclared grammar symbol), step lines not numbered
+0, 1, 2, ... in file order, a sidecar id that is not the hash of its
+encoding text, and an id declared twice, where the oracle parses them.
+So only text the serializer wrote is compared here; the refusals are
+tested in ``test_traces.py``.
+
+The sidecar decoder is compared with ``ast.literal_eval``: on the ``repr``
+of drawn literals, on edits of it, and on hand-made texts, both give
+values with the same ``repr`` or both raise.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -44,6 +55,7 @@ from lcsg import (
     terminal,
     toy_attention_predictor,
 )
+from lcsg.traces import _literal
 
 CORPUS = [["a", "b", "a", "b"], ["a", "c"], ["b", "b", "c", "a"], []]
 PREDICTORS = {
@@ -113,10 +125,37 @@ def reports(draw):
                 ]
             )
         )
+    pairs = draw(unchained(list(zip(report.productions, checks))))
     replay = report.replay_result if draw(st.booleans()) else None
     return dataclasses.replace(
-        report, form_checks=tuple(checks), replay_result=replay, conforming=draw(st.booleans())
+        report,
+        productions=tuple(p for p, _ in pairs),
+        form_checks=tuple(c for _, c in pairs),
+        replay_result=replay,
+        conforming=draw(st.booleans()),
     )
+
+
+@st.composite
+def unchained(draw, pairs):
+    """(production, check) pairs as extracted, or shuffled, duplicated or edited."""
+    how = draw(st.sampled_from(["as extracted", "shuffled", "duplicated", "edited"]))
+    if how == "shuffled":
+        return draw(st.permutations(pairs))
+    items = [item for p, _ in pairs for item in p.lhs + p.rhs]
+    for _ in range(draw(st.integers(1, 3)) if how != "as extracted" else 0):
+        i = draw(st.integers(0, len(pairs) - 1))
+        if how == "duplicated":
+            pairs.insert(draw(st.integers(0, len(pairs))), pairs[i])
+            continue
+        p, check = pairs[i]
+        side = draw(st.sampled_from(["lhs", "rhs"]))
+        old = getattr(p, side)
+        j = draw(st.integers(0, len(old)))
+        new = draw(st.sampled_from([(), (draw(st.sampled_from(items)),)]))
+        cut = j + draw(st.integers(0, 1))  # drop, insert or replace the item at j
+        pairs[i] = (dataclasses.replace(p, **{side: old[:j] + new + old[cut:]}), check)
+    return pairs
 
 
 @SETTINGS
@@ -196,3 +235,65 @@ def test_reports_with_one_defect_are_refused_alike(report, bad, data):
         )
         defective = dataclasses.replace(report, productions=tuple(productions))
     assert_same_refusal(defective)
+
+
+# --- the sidecar decoder against ast.literal_eval
+
+PIECES = ["'", '"', "\\", "(", ")", ", ", ",)", "None", "True", "é", "日本", "\u200b", "\n", "\x00", "😀", "a"]
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, 0.1])
+    | st.text()
+    | st.lists(st.sampled_from(PIECES), max_size=6).map("".join)
+    | st.binary(max_size=3)
+    | st.frozensets(st.integers(0, 3), max_size=2)
+)
+LITERALS = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=12)
+
+
+def decoded(decode, text):
+    try:
+        with warnings.catch_warnings():  # literal_eval warns on escapes like "\\/"
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return repr(decode(text))
+    except Exception:  # any refusal; both decoders must refuse alike
+        return "raised"
+
+
+def assert_decodes_alike(text):
+    assert decoded(_literal, text) == decoded(ast.literal_eval, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LITERALS)
+def test_decoder_matches_literal_eval_on_repr_text(value):
+    assert_decodes_alike(repr(value))
+    assert_decodes_alike(repr(("family", value)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LITERALS, st.data())
+def test_decoder_matches_literal_eval_on_edited_text(value, data):
+    text = repr(value)
+    i = data.draw(st.integers(0, len(text)))
+    edit = data.draw(st.sampled_from(list(",()' \"0_1eN-.[]{}:\\") + [""]))
+    cut = i + data.draw(st.integers(0, 1))  # insert, delete or replace at i
+    assert_decodes_alike(text[:i] + edit + text[cut:])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1)", "((1, 2))", "( 1, )", "(1, )", "(1,,)", "(,)", "007", "1_0", "-0.0", "1e300",
+        "1e+300", "(1, 2) junk", "('a',)x", "((1, 2)", "(1, 2))", "(", ")", "", "('a', 'b'",
+        "[1, 2]", "{'a': 1}", "{'a': (1,)}", "NaN", "Infinity", "nan", "null", "true",
+        "(True, False, None)", '("a", 1)', "('a\\'b',)", "('a\\nb',)", "('\\x00',)",
+        "('\\/',)", "b'x'", "frozenset({1})", "('ngram', ('a',))", "  (1,)",
+    ],
+)
+def test_decoder_matches_literal_eval_on_hand_made_text(text):
+    assert_decodes_alike(text)
