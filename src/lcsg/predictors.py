@@ -30,6 +30,11 @@ computes:
     H = A V
     probs = softmax(H[L] Wo)        over the n tokens, then END
 
+Only the last row is read, so only it is computed, by the same formula:
+``q = X[L] Wq``, ``A[L] = softmax(K q / sqrt(d))`` and ``H[L] = A[L] V``.
+The mask hides nothing from the last row, so it is not applied.  Each call
+still builds K and V for the whole context; nothing is kept between calls.
+
 Weights are drawn from ``numpy.random.default_rng(seed)`` (PCG64) as
 uniform(-0.5, 0.5) in the fixed order E (n x d), bos (d), Wq, Wk, Wv
 (d x d each), Wo (d x (n+1)).  Positions are capped at 64, counting the
@@ -86,19 +91,32 @@ class _Expansion:
 
 
 _Status = tuple[tuple[str, ...], str | None]  # (unemitted buffer, pending nonterminal)
+_Belief = dict[_Status, int]  # numerators over one shared denominator
+_Rule = tuple[tuple[tuple[_Status, int], ...], int]  # (child, weight) pairs and their total
 _EXPANSION_ROUNDS = 10_000
 
 
 class GrammarPredictor:
     """The state is a pure function of the context: the pair (recent window,
-    posterior statuses).  Belief arithmetic is exact (rational), so two
-    contexts that induce the same posterior really do share one state
-    encoding; probabilities appear in encodings as (numerator, denominator)
-    pairs.  Each call resumes from the longest prefix of its context
-    already consumed, so the state argument is accepted for protocol
-    uniformity but carries no extra information.  The memo of consumed
-    prefixes is unbounded: it keeps the belief after every distinct prefix
-    the predictor has seen."""
+    posterior statuses).  Belief arithmetic is exact: a belief holds one
+    integer numerator per status over one shared integer denominator, so
+    two contexts that induce the same posterior really do share one state
+    encoding; probabilities appear in encodings as reduced (numerator,
+    denominator) pairs, and each next-token probability is the correctly
+    rounded quotient of its numerator and the denominator.
+
+    The candidates that rewrite a pending nonterminal after a recent window
+    form a rule, built once and memoized: its children with integer weight
+    numerators over their integer total (the weights are floats, so each
+    is a dyadic rational).  There are at most |N| rules per window of at
+    most k tokens, for k the longest production context: about |N| x |V|^k.
+    A rule that fails is not stored, so it fails again on every use.
+
+    Each call resumes from the longest prefix of its context already
+    consumed, so the state argument is accepted for protocol uniformity but
+    carries no extra information.  The memo of consumed prefixes is
+    unbounded: it keeps the belief after every distinct prefix the
+    predictor has seen."""
 
     family = "grammar"
     finite_state = True
@@ -132,97 +150,104 @@ class GrammarPredictor:
             self._table.setdefault(p.lhs[-1].name, []).append(
                 _Expansion(gamma.names(), body.names(), next_nt, misshapen, Fraction(w))
             )
-        belief0: dict[_Status, Fraction] = {((), g.start.name): Fraction(1)}
-        belief, recent = self._consume(belief0, (), ())
+        self._rules: dict[tuple[str, tuple[str, ...]], _Rule] = {}
+        belief, den = self._expand({((), g.start.name): 1}, 1, ())
         # memo of consumed contexts; grows with the distinct contexts seen
-        self._cache: dict[tuple[str, ...], tuple[dict[_Status, Fraction], tuple[str, ...]]]
-        self._cache = {(): (belief, recent)}
-        self.initial_state = self._encode(belief, recent)
+        self._cache: dict[tuple[str, ...], tuple[_Belief, int, tuple[str, ...]]]
+        self._cache = {(): (belief, den, ())}
+        self.initial_state = self._encode(belief, den, ())
 
     # -- belief bookkeeping
 
+    def _rule(self, nt: str, recent: tuple[str, ...]) -> _Rule:
+        """The productions that rewrite ``nt`` after ``recent``, as integer weights."""
+        rule = self._rules.get((nt, recent))
+        if rule is not None:
+            return rule
+        candidates = [
+            e
+            for e in self._table.get(nt, [])
+            if len(e.gamma) <= len(recent) and recent[len(recent) - len(e.gamma):] == e.gamma
+        ]
+        if not candidates:
+            raise DeadEndError(f"no production rewrites {nt} after {recent}")
+        if not any(e.weight for e in candidates):
+            raise ZeroMassError(f"weights for {nt} sum to zero after {recent}")
+        if any(e.misshapen for e in candidates):
+            raise NotLeftLinearizableError(
+                "a reachable form places a nonterminal left of a terminal"
+            )
+        scale = math.lcm(*(e.weight.denominator for e in candidates))
+        children: dict[_Status, int] = {}
+        for e in candidates:
+            child: _Status = (e.emitted, e.next_nt)
+            weight = e.weight.numerator * (scale // e.weight.denominator)
+            children[child] = children.get(child, 0) + weight
+        total = sum(children.values())
+        g = math.gcd(total, *children.values())
+        rule = tuple((child, w // g) for child, w in children.items()), total // g
+        self._rules[(nt, recent)] = rule
+        return rule
+
     def _expand(
-        self, belief: dict[_Status, Fraction], recent: tuple[str, ...]
-    ) -> dict[_Status, Fraction]:
-        """Drain every (empty buffer, pending nonterminal) entry."""
-        zero = Fraction(0)
+        self, belief: _Belief, den: int, recent: tuple[str, ...]
+    ) -> tuple[_Belief, int]:
+        """Drain every (empty buffer, pending nonterminal) entry; reduce the result."""
         for _ in range(_EXPANSION_ROUNDS):
-            pending = [s for s in belief if not s[0] and s[1] is not None]
+            pending = {
+                s: self._rule(s[1], recent) for s in belief if not s[0] and s[1] is not None
+            }
             if not pending:
-                return belief
-            grown: dict[_Status, Fraction] = {}
+                g = math.gcd(den, *belief.values())
+                return {s: mass // g for s, mass in belief.items()}, den // g
+            scale = math.lcm(*(total for _, total in pending.values()))
+            grown: _Belief = {}
             for status, mass in belief.items():
-                buffer, nt = status
-                if buffer or nt is None:
-                    grown[status] = grown.get(status, zero) + mass
+                rule = pending.get(status)
+                if rule is None:
+                    grown[status] = grown.get(status, 0) + mass * scale
                     continue
-                candidates = [
-                    e
-                    for e in self._table.get(nt, [])
-                    if len(e.gamma) <= len(recent)
-                    and recent[len(recent) - len(e.gamma):] == e.gamma
-                ]
-                if not candidates:
-                    raise DeadEndError(f"no production rewrites {nt} after {recent}")
-                total = sum(e.weight for e in candidates)
-                if total == 0:
-                    raise ZeroMassError(f"weights for {nt} sum to zero after {recent}")
-                for e in candidates:
-                    if e.misshapen:
-                        raise NotLeftLinearizableError(
-                            "a reachable form places a nonterminal left of a terminal"
-                        )
-                    child: _Status = (e.emitted, e.next_nt)
-                    grown[child] = grown.get(child, zero) + mass * (e.weight / total)
-            belief = grown
+                children, total = rule
+                mass *= scale // total
+                for child, weight in children:
+                    grown[child] = grown.get(child, 0) + mass * weight
+            belief, den = grown, den * scale
         raise ValueError("unit-production cycle: belief expansion did not settle")
 
     def _consume(
-        self,
-        belief: dict[_Status, Fraction],
-        recent: tuple[str, ...],
-        names: tuple[str, ...],
-    ) -> tuple[dict[_Status, Fraction], tuple[str, ...]]:
-        zero = Fraction(0)
-        belief = self._expand(belief, recent)
-        for name in names:
-            kept: dict[_Status, Fraction] = {}
-            kept_mass = zero
-            for status in belief:
-                buffer, nt = status
-                if buffer and buffer[0] == name:
-                    child: _Status = (buffer[1:], nt)
-                    kept[child] = kept.get(child, zero) + belief[status]
-                    kept_mass += belief[status]
-            if kept_mass == 0:
-                raise ImpossibleContextError(f"the grammar cannot produce token {name!r} here")
-            belief = {s: p / kept_mass for s, p in kept.items()}
-            if self._context_need:
-                recent = (recent + (name,))[-self._context_need:]
-            belief = self._expand(belief, recent)
-        return belief, recent
+        self, belief: _Belief, recent: tuple[str, ...], name: str
+    ) -> tuple[_Belief, int, tuple[str, ...]]:
+        """The posterior after one more token: the kept numerators over their sum."""
+        kept: _Belief = {}
+        for (buffer, nt), mass in belief.items():
+            if buffer and buffer[0] == name:
+                child: _Status = (buffer[1:], nt)
+                kept[child] = kept.get(child, 0) + mass
+        den = sum(kept.values())
+        if den == 0:
+            raise ImpossibleContextError(f"the grammar cannot produce token {name!r} here")
+        if self._context_need:
+            recent = (recent + (name,))[-self._context_need:]
+        return *self._expand(kept, den, recent), recent
 
-    def _encode(
-        self, belief: dict[_Status, Fraction], recent: tuple[str, ...]
-    ) -> PredictorState:
-        statuses = tuple(
-            (buf, nt, (belief[(buf, nt)].numerator, belief[(buf, nt)].denominator))
-            for buf, nt in sorted(belief, key=lambda s: (s[0], s[1] or ""))
-        )
-        return PredictorState(self.family, (recent, statuses))
+    def _encode(self, belief: _Belief, den: int, recent: tuple[str, ...]) -> PredictorState:
+        statuses = []
+        for buf, nt in sorted(belief, key=lambda s: (s[0], s[1] or "")):
+            mass = belief[(buf, nt)]
+            g = math.gcd(mass, den)
+            statuses.append((buf, nt, (mass // g, den // g)))
+        return PredictorState(self.family, (recent, tuple(statuses)))
 
-    def _belief_for(
-        self, names: tuple[str, ...]
-    ) -> tuple[dict[_Status, Fraction], tuple[str, ...]]:
+    def _belief_for(self, names: tuple[str, ...]) -> tuple[_Belief, int, tuple[str, ...]]:
         """Posterior after the whole context, one new token at a time."""
         i = len(names)
         while names[:i] not in self._cache:
             i -= 1
-        belief, recent = self._cache[names[:i]]
+        belief, den, recent = self._cache[names[:i]]
         for j in range(i, len(names)):
-            belief, recent = self._consume(dict(belief), recent, (names[j],))
-            self._cache[names[: j + 1]] = (belief, recent)
-        return belief, recent
+            belief, den, recent = self._consume(belief, recent, names[j])
+            self._cache[names[: j + 1]] = (belief, den, recent)
+        return belief, den, recent
 
     def next_distribution(
         self, state: PredictorState, context: SymbolString
@@ -230,21 +255,20 @@ class GrammarPredictor:
         for s in context:
             if s not in self._terminals:
                 raise UnknownTokenError(f"token outside the grammar's terminals: {s!r}")
-        belief, recent = self._belief_for(context.names())
+        belief, den, recent = self._belief_for(context.names())
 
-        zero = Fraction(0)
-        per_token = {s.name: zero for s in self.vocabulary}
-        end_mass = zero
-        for (buffer, nt), p in belief.items():
+        per_token = {s.name: 0 for s in self.vocabulary}
+        end_mass = 0
+        for (buffer, nt), mass in belief.items():
             if buffer:
-                per_token[buffer[0]] += p
+                per_token[buffer[0]] += mass
             elif nt is None:
-                end_mass += p
+                end_mass += mass
         entries: list[tuple[Token, float]] = [
-            (s, float(per_token[s.name])) for s in self.vocabulary
+            (s, per_token[s.name] / den) for s in self.vocabulary
         ]
-        entries.append((END, float(end_mass)))
-        return TokenDistribution(tuple(entries)), self._encode(belief, recent)
+        entries.append((END, end_mass / den))
+        return TokenDistribution(tuple(entries)), self._encode(belief, den, recent)
 
 
 def grammar_predictor(wg: WeightedGrammar) -> GrammarPredictor:
@@ -264,15 +288,15 @@ class NgramPredictor:
         self,
         k: int,
         vocabulary: tuple[Symbol, ...],
-        table: dict[tuple[str, ...], tuple[tuple[Token, float], ...]],
+        table: dict[tuple[str, ...], TokenDistribution],
     ):
         self.k = k
         self.vocabulary = vocabulary
         self._vocabulary = {s for s in vocabulary if s.is_terminal}
         self._table = table
         uniform = 1.0 / (len(vocabulary) + 1)
-        self._fallback = tuple(
-            [(s, uniform) for s in vocabulary] + [(END, uniform)]
+        self._fallback = TokenDistribution(
+            tuple([(s, uniform) for s in vocabulary] + [(END, uniform)])
         )
         self.initial_state = PredictorState(self.family, ())
 
@@ -284,8 +308,7 @@ class NgramPredictor:
                 raise UnknownTokenError(f"token outside the vocabulary: {s!r}")
         names = context.names()
         suffix = names[max(0, len(names) - self.k):] if self.k else ()
-        entries = self._table.get(suffix, self._fallback)
-        return TokenDistribution(entries), PredictorState(self.family, suffix)
+        return self._table.get(suffix, self._fallback), PredictorState(self.family, suffix)
 
 
 def ngram_train(
@@ -322,14 +345,14 @@ def ngram_train(
             bucket[nxt] = bucket.get(nxt, 0) + 1
 
     vocabulary = tuple(terminal(n) for n in names)
-    table: dict[tuple[str, ...], tuple[tuple[Token, float], ...]] = {}
+    table: dict[tuple[str, ...], TokenDistribution] = {}
     for ctx, bucket in counts.items():
         total = sum(bucket.values())
         entries: list[tuple[Token, float]] = [
             (s, bucket.get(s.name, 0) / total) for s in vocabulary
         ]
         entries.append((END, bucket.get(None, 0) / total))
-        table[ctx] = tuple(entries)
+        table[ctx] = TokenDistribution(tuple(entries))
     return NgramPredictor(k, vocabulary, table)
 
 
@@ -367,30 +390,27 @@ class ToyAttentionPredictor:
     def next_distribution(
         self, state: PredictorState, context: SymbolString
     ) -> tuple[TokenDistribution, PredictorState]:
-        rows = [self.bos + self.positional[0]]
+        idx = []
         for i, s in enumerate(context, start=1):
-            if s not in self._index:
+            j = self._index.get(s)
+            if j is None:
                 raise UnknownTokenError(f"token outside the vocabulary: {s!r}")
             if i >= _MAX_POSITIONS:
                 raise ValueError(f"context exceeds {_MAX_POSITIONS - 1} tokens")
-            rows.append(self.embeddings[self._index[s]] + self.positional[i])
-        x = np.stack(rows)
-        q, k, v = x @ self.w_query, x @ self.w_key, x @ self.w_value
-        scores = (q @ k.T) / math.sqrt(self.embed_dim)
-        mask = np.triu(np.ones(scores.shape, dtype=bool), k=1)
-        scores = np.where(mask, -np.inf, scores)
-        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-        weights /= weights.sum(axis=1, keepdims=True)
-        hidden = weights @ v
-        logits = hidden[-1] @ self.w_out
+            idx.append(j)
+        x = np.empty((len(idx) + 1, self.embed_dim))
+        x[0] = self.bos + self.positional[0]
+        x[1:] = self.embeddings[idx] + self.positional[1 : len(idx) + 1]
+        q, k, v = x[-1] @ self.w_query, x @ self.w_key, x @ self.w_value
+        scores = (k @ q) / math.sqrt(self.embed_dim)
+        weights = np.exp(scores - scores.max())
+        weights /= weights.sum()
+        logits = (weights @ v) @ self.w_out
         exps = np.exp(logits - logits.max())
-        probs = exps / exps.sum()
-        entries: list[tuple[Token, float]] = [
-            (s, float(probs[i])) for i, s in enumerate(self.vocabulary)
-        ]
-        entries.append((END, float(probs[-1])))
+        probs = (exps / exps.sum()).tolist()
+        entries = tuple(zip(self.vocabulary, probs)) + ((END, probs[-1]),)
         next_state = PredictorState(self.family, context.names())
-        return TokenDistribution(tuple(entries)), next_state
+        return TokenDistribution(entries), next_state
 
 
 def toy_attention_predictor(

@@ -16,10 +16,9 @@ probabilities.  The computation sweeps reachable forms in increasing length
 order; probability mass that cycles among same-length forms is resolved by
 one dense float64 solve (``numpy.linalg.solve``, that is LAPACK) over each
 same-length layer.  The solve is direct, not iterative, but it is floating
-point: results are exact only up to rounding, unlike the ``Fraction``
-beliefs of the grammar predictor.  Its memory grows with the square of the
-layer size and its time with the cube, so a layer of a few thousand forms
-takes seconds and hundreds of MB.  ``exact_distribution`` reads every
+point: results are exact only up to rounding.  Its memory grows with the
+square of the layer size and its time with the cube, so a layer of a few
+thousand forms takes seconds and hundreds of MB.  ``exact_distribution`` reads every
 string of its support from one such sweep.  The sweep explores nothing
 itself: it reads its forms from the grammar's cached bounded search, the
 one that also serves ``derives_bounded`` and ``enumerate_language``, and so

@@ -198,6 +198,10 @@ class _Names(dict):
         if not isinstance(family, str):
             raise TraceParseError("state family must be a string", self.line)
         state = PredictorState(family, encoding)
+        try:
+            hash(state)
+        except TypeError:
+            raise TraceParseError(f"unhashable state encoding {raw!r}", self.line) from None
         if sid != f"A#{_state_hash(state, raw)}":
             raise TraceParseError(f"state id {sid} does not match its encoding", self.line)
         if sid in self:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 
 import pytest
 
@@ -263,6 +264,16 @@ SIDECAR_HEADS = pytest.mark.parametrize(
 def test_sidecar_ids_must_match_their_encodings(head):
     edited = head.replace("('ngram', ())", "('ngram', ('a',))")
     with pytest.raises(TraceParseError, match="does not match its encoding") as info:
+        parse_trace(edited)
+    assert info.value.line == 2
+
+
+@SIDECAR_HEADS
+@pytest.mark.parametrize("encoding", ["('f', [1])", "('f', ({},))", "('f', {1, 2})"])
+def test_unhashable_sidecar_encodings_are_refused(head, encoding):
+    sid = "A#" + hashlib.sha256(encoding.encode()).hexdigest()[:8]
+    edited = head.replace("('ngram', ())", encoding).replace("A#b2b51ef6", sid)
+    with pytest.raises(TraceParseError, match="unhashable state encoding") as info:
         parse_trace(edited)
     assert info.value.line == 2
 
