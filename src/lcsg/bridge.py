@@ -20,9 +20,13 @@ re-runs the sequence from B_dyn to recover the final string.
 walks the reachable states breadth-first up to a context-length horizon
 and writes each transition down as a static weighted production
 A_s -> tau A_s', with A_s -> lambda carrying the END probability.  States
-first reached exactly at the horizon keep only their lambda production,
-so every string up to the horizon length comes out with its exact
-probability and nothing spurious is added.
+first reached exactly at the horizon keep only their lambda production.
+Every string shorter than the horizon therefore comes out with its exact
+probability, and so does a horizon-length string unless it ends in such a
+state: renormalizing gives that lambda production probability 1, so the
+string gets its prefix probability instead.  A horizon state whose END
+probability is 0 gets no production at all, so sampling can dead-end
+there.  Making the horizon exact is item 2 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -303,8 +307,11 @@ def induce_grammar(
     transition, A_s -> lambda weighted by the END probability, and a start
     production B -> A_s0 for the state reached on the empty context.
     Exploration stops at contexts of ``max_context_len`` tokens; states
-    first reached there keep only their lambda production, so the induced
-    language and string probabilities are exact through the horizon.
+    first reached there keep only their lambda production.  Strings shorter
+    than the horizon get their exact probabilities.  A horizon-length
+    string does too, unless it ends in a state first reached there: then
+    it gets its prefix probability.  Such a state with END probability 0
+    gets no production, so sampling can dead-end (ROADMAP.md, item 2).
     """
     if not getattr(predictor, "finite_state", False):
         raise UnsupportedInfiniteStateError(

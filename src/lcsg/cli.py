@@ -27,11 +27,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .autoregressive import GenerationRecord, Predictor, UnknownTokenError, generate
+from .autoregressive import GenerationRecord, Predictor, generate
 from .bridge import (
     FormCheckStatus,
     StateBudgetExceededError,
-    UnsupportedInfiniteStateError,
     build_trace_report,
     check_weak_equivalence,
     induce_grammar,
@@ -39,23 +38,20 @@ from .bridge import (
 from .derivation import (
     DEFAULT_FUEL,
     FuelExhaustedError,
-    NotNoncontractingError,
     derives_bounded,
     enumerate_language,
     successors,
 )
 from .grammar import GRAMMAR_CLASS_ORDER, classify_grammar, classify_production, validate_grammar
-from .grammar_io import GrammarParseError, parse_grammar, render_grammar
+from .grammar_io import parse_grammar, render_grammar
 from .predictors import (
-    EmptyCorpusError,
-    NotLeftLinearizableError,
     grammar_predictor,
     ngram_train,
     read_corpus,
     read_vocab,
     toy_attention_predictor,
 )
-from .stochastic import DeadEndError, WeightedGrammar, ZeroMassError, sample_derivation
+from .stochastic import DeadEndError, WeightedGrammar, sample_derivation
 from .symbols import SymbolString, terminal
 from .traces import serialize_trace
 
@@ -351,19 +347,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except (FuelExhaustedError, StateBudgetExceededError) as exc:
         print(f"exhausted: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (
-        GrammarParseError,
-        NotNoncontractingError,
-        NotLeftLinearizableError,
-        UnsupportedInfiniteStateError,
-        EmptyCorpusError,
-        UnknownTokenError,
-        DeadEndError,
-        ZeroMassError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (DeadEndError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,8 +26,14 @@ the first search it also holds the search profile.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
 repeated queries on one grammar object share a search, the exact
 probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  A search keeps at most ``fuel`` forms.  The view
-is freed with its grammar and is never pickled.
+again starts cold.  The view is freed with its grammar and is never pickled.
+
+For each form it reaches, a search keeps the :class:`DerivationStep` that
+first reached it, and the trace ``derives_bounded`` returns is the chain of
+those steps back to the start form.  A search expands at most ``fuel``
+forms, so a completed search keeps at most ``fuel`` forms; one that runs
+out of fuel also keeps the forms it reached but did not expand, up to
+``fuel`` times the largest number of rewrites of one form, plus one.
 """
 
 from __future__ import annotations
@@ -40,7 +46,9 @@ from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
 # Searches kept per grammar: room for one query length after another up to
-# 15, while a grammar's parent maps, each up to ``fuel`` forms, stay bounded.
+# 15, while a grammar's parent maps stay bounded.  Each holds at most
+# ``fuel`` forms if its search completed, and otherwise up to ``fuel`` times
+# the largest number of rewrites of one form, plus one.
 _SEARCH_CACHE_SIZE = 16
 
 
@@ -159,7 +167,9 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
 
 @dataclass(frozen=True)
 class _Reachability:
-    parents: dict  # form -> (parent form, production_index, position) | None
+    # Each form the search reached -> the step that first reached it, None
+    # for the start form; a trace is the chain of these steps back to it.
+    parents: dict[SymbolString, DerivationStep | None]
     completed: bool
 
 
@@ -219,7 +229,7 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
 
 def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
     initial = SymbolString((g.start,))
-    parents: dict[SymbolString, tuple | None] = {initial: None}
+    parents: dict[SymbolString, DerivationStep | None] = {initial: None}
     frontier: deque[SymbolString] = deque([initial])
     expanded = 0
     while frontier:
@@ -231,24 +241,9 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
             child = step.after
             if child in parents or view.min_yield(child) > max_len:
                 continue
-            parents[child] = (form, step.production_index, step.position)
+            parents[child] = step
             frontier.append(child)
     return _Reachability(parents, completed=True)
-
-
-def _trace_from_parents(g: Grammar, parents: dict, target: SymbolString) -> DerivationTrace:
-    chain: list[tuple[SymbolString, int, int]] = []
-    form = target
-    while parents[form] is not None:
-        parent, index, position = parents[form]
-        chain.append((parent, index, position))
-        form = parent
-    chain.reverse()
-    steps = tuple(
-        DerivationStep(before, index, position, apply_step(before, g.productions[index], position))
-        for before, index, position in chain
-    )
-    return DerivationTrace(g, steps)
 
 
 def derives_bounded(
@@ -265,7 +260,12 @@ def derives_bounded(
         raise ValueError(f"target must contain only terminals: {target}")
     reach = _bounded_reachability(g, len(target), fuel)
     if target in reach.parents:
-        return _trace_from_parents(g, reach.parents, target)
+        steps: list[DerivationStep] = []
+        step = reach.parents[target]
+        while step is not None:
+            steps.append(step)
+            step = reach.parents[step.before]
+        return DerivationTrace(g, tuple(reversed(steps)))
     if reach.completed:
         return None
     raise FuelExhaustedError(f"fuel {fuel} exhausted searching for {target}")

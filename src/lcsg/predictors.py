@@ -93,7 +93,6 @@ class _Expansion:
 _Status = tuple[tuple[str, ...], str | None]  # (unemitted buffer, pending nonterminal)
 _Belief = dict[_Status, int]  # numerators over one shared denominator
 _Rule = tuple[tuple[tuple[_Status, int], ...], int]  # (child, weight) pairs and their total
-_EXPANSION_ROUNDS = 10_000
 
 
 class GrammarPredictor:
@@ -192,8 +191,15 @@ class GrammarPredictor:
     def _expand(
         self, belief: _Belief, den: int, recent: tuple[str, ...]
     ) -> tuple[_Belief, int]:
-        """Drain every (empty buffer, pending nonterminal) entry; reduce the result."""
-        for _ in range(_EXPANSION_ROUNDS):
+        """Drain every (empty buffer, pending nonterminal) entry; reduce the result.
+
+        A status pending after round r ends a chain of r unit rewrites, each
+        by a nonterminal with a stored table entry.  So after one round more
+        than there are entries some nonterminal repeats on every such chain,
+        and the mass cycles forever; a failing rule on a longer chain also
+        ends a shorter one, so it has raised by then.
+        """
+        for _ in range(len(self._table) + 1):
             pending = {
                 s: self._rule(s[1], recent) for s in belief if not s[0] and s[1] is not None
             }

@@ -260,6 +260,25 @@ def test_induced_grammar_reproduces_exact_probabilities():
         assert p_ind == pytest.approx(p_src, abs=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 2: a string ending in a state first reached at "
+    "the horizon gets its prefix probability",
+)
+def test_a_string_ending_in_a_horizon_state_gets_its_exact_probability():
+    source = WeightedGrammar.from_grammar(
+        parse_grammar(
+            "start: S\nterminals: a b c\nnonterminals: S A C\n"
+            "S -> a A\nA -> b\nA -> b C\nC -> c\n"
+        )
+    )
+    induced = induce_grammar(grammar_predictor(source), max_context_len=2)
+    p_src = string_probability(source, source.grammar.string_of(["a", "b"]))
+    p_ind = string_probability(induced, induced.grammar.string_of(["a", "b"]))
+    assert p_src == 0.5
+    assert p_ind == pytest.approx(p_src, abs=1e-12)
+
+
 def test_induction_refuses_infinite_state_predictors():
     toy = toy_attention_predictor(seed=0, embed_dim=2, vocab=("a",))
     with pytest.raises(UnsupportedInfiniteStateError):

@@ -3,7 +3,7 @@
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches, until the grammar itself is freed.  Caches
 never travel in a pickle: str hashes differ between processes, and a parent
-map can hold up to ``DEFAULT_FUEL`` forms.
+map can hold ``DEFAULT_FUEL`` forms and more.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from lcsg import (
     WeightedGrammar,
     enumerate_language,
     nonterminal,
+    parse_grammar,
     string_probability,
     successors,
     terminal,
@@ -54,6 +55,34 @@ def test_the_cache_keeps_at_most_its_bound():
     searches = _compiled(g).searches
     assert len(searches) == _SEARCH_CACHE_SIZE
     assert sorted(searches) == [(n, DEFAULT_FUEL) for n in range(5, _SEARCH_CACHE_SIZE + 5)]
+
+
+THREE_WORDS = "start: S\nterminals: a b c\nnonterminals: S\nS -> a\nS -> b\nS -> c\n"
+
+
+def test_a_completed_search_keeps_at_most_fuel_forms():
+    reach = _bounded_reachability(parse_grammar(THREE_WORDS), 1, 4)
+    assert reach.completed
+    assert len(reach.parents) == 4
+
+
+def test_a_search_out_of_fuel_also_keeps_the_forms_it_did_not_expand():
+    # One form expanded, into three rewrites: fuel times three, plus one.
+    reach = _bounded_reachability(parse_grammar(THREE_WORDS), 1, 1)
+    assert not reach.completed
+    assert len(reach.parents) == 1 * 3 + 1
+
+
+def test_both_search_bounds_hold_at_every_fuel():
+    g = load_grammar("crossserial.grammar")  # 25 forms at length 6
+    for fuel in range(1, 30):
+        reach = _bounded_reachability(g, 6, fuel)
+        expanded = list(reach.parents)[:fuel]
+        most = max(len(successors(form, g)) for form in expanded)
+        if reach.completed:
+            assert len(reach.parents) <= fuel
+        else:
+            assert len(reach.parents) <= fuel * most + 1
 
 
 def test_nine_lengths_stay_cached_together():

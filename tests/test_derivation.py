@@ -22,6 +22,7 @@ from lcsg import (
     enumerate_language,
     nonterminal,
     parse_grammar,
+    serialize_trace,
     successors,
     terminal,
 )
@@ -133,6 +134,24 @@ def test_derives_bounded_traces_chain_and_replay(abc):
         form = apply_step(form, abc.productions[step.production_index], step.position)
         assert form == step.after
     assert form == target
+
+
+@pytest.mark.parametrize(
+    "name, max_len", [("abc.grammar", 9), ("crossserial.grammar", 8), ("chain.grammar", 3)]
+)
+def test_derives_bounded_reads_traces_from_the_search(name, max_len, monkeypatch):
+    reference = load_grammar(name)
+    words = sorted(enumerate_language(reference, max_len), key=str)
+    want = [serialize_trace(derives_bounded(reference, w)) for w in words]
+
+    def replay(*args):
+        raise AssertionError("derives_bounded replayed a production")
+
+    g = load_grammar(name)  # a fresh parse, so its searches run under the patch
+    monkeypatch.setattr("lcsg.derivation.apply_step", replay)
+    got = [derives_bounded(g, w) for w in words]
+    monkeypatch.undo()
+    assert [serialize_trace(t) for t in got] == want
 
 
 def test_derives_bounded_negative_is_none(abc):

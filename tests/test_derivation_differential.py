@@ -5,8 +5,8 @@ were before grammars were compiled: every (position, production) pair is
 sliced and compared, and searches are cached by the whole grammar.  The
 library must give the same ``successors`` list, in the same (position,
 production index) order, the same search tree (the parent map in insertion
-order, so also the same BFS order), and the same exception type where the
-oracle raises.
+order, so also the same BFS order, each kept step read as the oracle's
+parent tuple), and the same exception type where the oracle raises.
 """
 
 from __future__ import annotations
@@ -57,7 +57,13 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
         return
     assert not isinstance(got, type), got
     assert got.completed == want.completed
-    assert list(got.parents.items()) == list(want.parents.items())
+    assert list(got.parents) == list(want.parents)
+    for form, step in got.parents.items():
+        if step is None:
+            assert want.parents[form] is None
+        else:
+            assert (step.before, step.production_index, step.position) == want.parents[form]
+            assert step.after == form
 
 
 def grammar(productions) -> Grammar:

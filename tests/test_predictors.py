@@ -145,6 +145,28 @@ def test_unit_production_cycles_are_capped():
         pred.next_distribution(pred.initial_state, SymbolString(()))
 
 
+def test_a_unit_cycle_whose_mass_splits_is_reported():
+    wg = wg_from(
+        "start: S\nterminals: a p\nnonterminals: S A\n"
+        "S -> a A\nA -> S p=0.1\nA -> A p=0.7\n"
+    )
+    pred = grammar_predictor(wg)
+    with pytest.raises(ValueError, match="did not settle"):
+        pred.next_distribution(pred.initial_state, toks("a"))
+
+
+def test_an_acyclic_unit_chain_settles_in_the_last_round():
+    # S -> A1 -> ... -> A6 -> a takes one round per table entry, plus one
+    # to find nothing pending.
+    names = [f"A{i}" for i in range(1, 7)]
+    chain = ["S"] + names
+    lines = [f"{lhs} -> {rhs}" for lhs, rhs in zip(chain, names)] + ["A6 -> a"]
+    text = f"start: S\nterminals: a\nnonterminals: {' '.join(chain)}\n" + "\n".join(lines) + "\n"
+    pred = grammar_predictor(wg_from(text))
+    assert len(pred._table) == 7
+    assert entries_of(pred, toks()) == {"a:T": 1.0, "<END>": 0.0}
+
+
 def test_grammar_predictor_rejects_unknown_tokens():
     pred = grammar_predictor(wg_from(GEOMETRIC))
     with pytest.raises(UnknownTokenError):
