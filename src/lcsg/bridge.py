@@ -13,8 +13,10 @@ left context intact and append material, so each one is left
 context-sensitive; the closing production erases the last nonterminal and
 is exempt from that check (its appended part is empty, which the form
 rule does not admit).  ``extract_productions`` builds the sequence from a
-record, ``check_left_cs_form`` verifies each production, and ``replay``
-re-runs the sequence from B_dyn to recover the final string.
+record, ``check_left_cs_form`` verifies each production by the one rule
+that also classifies grammar productions as ``LEFT_CS``
+(``grammar._left_cs_defect``), and ``replay`` re-runs the sequence from
+B_dyn to recover the final string.
 
 ``induce_grammar`` goes the other way for finite-state predictors: it
 walks the reachable states breadth-first up to a context-length horizon
@@ -26,7 +28,8 @@ probability, and so does a horizon-length string unless it ends in such a
 state: renormalizing gives that lambda production probability 1, so the
 string gets its prefix probability instead.  A horizon state whose END
 probability is 0 gets no production at all, so sampling can dead-end
-there.  Making the horizon exact is item 2 of ROADMAP.md.
+there.  Making the horizon exact is item 2 of ROADMAP.md.  One helper,
+``_fresh_nonterminal``, names every induced nonterminal, the start included.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .autoregressive import (
     PredictorState,
 )
 from .derivation import DEFAULT_FUEL, enumerate_language
-from .grammar import Grammar, Production
+from .grammar import Grammar, Production, _left_cs_defect
 from .stochastic import WeightedGrammar
 from .symbols import EMPTY, Symbol, SymbolString, nonterminal, terminal
 
@@ -154,19 +157,16 @@ def check_left_cs_form(p: DynamicProduction) -> FormCheck:
 
     Passing means the left side decomposes as (context, nonterminal), the
     right side repeats the context verbatim and appends at least one
-    symbol.  The closing production of a run appends nothing; it is
-    reported exempt rather than failing.
+    symbol: the ``LEFT_CS`` rule of ``grammar``.  The closing production
+    appends nothing; it is reported exempt rather than failing.
     """
-    if not p.lhs or not _is_nonterminal_item(p.lhs[-1]):
-        return FormCheck(FormCheckStatus.FAIL, "no_trailing_nonterminal")
-    alpha = p.lhs[:-1]
-    if p.rhs[: len(alpha)] != alpha:
-        return FormCheck(FormCheckStatus.FAIL, "left_context_changed")
-    if len(p.rhs) == len(alpha):
-        if p.kind == "terminal":
-            return FormCheck(FormCheckStatus.EXEMPT_TERMINAL)
-        return FormCheck(FormCheckStatus.FAIL, "empty_remainder")
-    return FormCheck(FormCheckStatus.PASS)
+    ends = bool(p.lhs) and _is_nonterminal_item(p.lhs[-1])
+    defect = _left_cs_defect(p.lhs, p.rhs, ends)
+    if defect is None:
+        return FormCheck(FormCheckStatus.PASS)
+    if defect == "empty_remainder" and p.kind == "terminal":
+        return FormCheck(FormCheckStatus.EXEMPT_TERMINAL)
+    return FormCheck(FormCheckStatus.FAIL, defect)
 
 
 def extract_productions(rec: GenerationRecord) -> tuple[DynamicProduction, ...]:
@@ -273,25 +273,25 @@ def build_trace_report(rec: GenerationRecord) -> TraceReport:
     )
 
 
-def _state_namer(used: set[str]):
-    def name(state: PredictorState) -> str:
-        enc = state.encoding
-        if (
-            state.family == "ngram"
-            and isinstance(enc, tuple)
-            and all(isinstance(x, str) for x in enc)
-        ):
-            candidate = "s_BOS" if not enc else "s_" + "_".join(enc)
-        else:
-            candidate = "s_" + _state_hash(state)
-        unique, n = candidate, 2
-        while unique in used:
-            unique = f"{candidate}_{n}"
-            n += 1
-        used.add(unique)
-        return unique
+def _fresh_nonterminal(candidate: str, used: set[str]) -> Symbol:
+    """The first of ``candidate``, ``candidate_2``, ... not in ``used``; adds its name."""
+    name, n = candidate, 2
+    while name in used:
+        name = f"{candidate}_{n}"
+        n += 1
+    used.add(name)
+    return nonterminal(name)
 
-    return name
+
+def _state_candidate(state: PredictorState) -> str:
+    enc = state.encoding
+    if (
+        state.family == "ngram"
+        and isinstance(enc, tuple)
+        and all(isinstance(x, str) for x in enc)
+    ):
+        return "s_BOS" if not enc else "s_" + "_".join(enc)
+    return "s_" + _state_hash(state)
 
 
 def induce_grammar(
@@ -328,16 +328,15 @@ def induce_grammar(
     known = set(names)
 
     used = set(names)
-    name_state = _state_namer(used)
     dist0, s0 = predictor.next_distribution(predictor.initial_state, EMPTY)
-    visited: dict[PredictorState, str] = {s0: name_state(s0)}
+    visited: dict[PredictorState, Symbol] = {s0: _fresh_nonterminal(_state_candidate(s0), used)}
     queue: deque[tuple[PredictorState, tuple[Symbol, ...], object]] = deque(
         [(s0, (), dist0)]
     )
     productions: list[Production] = []
     while queue:
         state, witness, dist = queue.popleft()
-        lhs = SymbolString((nonterminal(visited[state]),))
+        lhs = SymbolString((visited[state],))
         at_horizon = len(witness) == max_context_len
         for token, p in dist.entries:
             if p <= 0.0:
@@ -358,26 +357,18 @@ def induce_grammar(
                     raise StateBudgetExceededError(
                         f"more than {state_budget} reachable states"
                     )
-                visited[s2] = name_state(s2)
+                visited[s2] = _fresh_nonterminal(_state_candidate(s2), used)
                 queue.append((s2, grown, dist2))
             productions.append(
-                Production(
-                    lhs, SymbolString((token, nonterminal(visited[s2]))), weight=p
-                )
+                Production(lhs, SymbolString((token, visited[s2])), weight=p)
             )
 
-    start_name, n = "B", 2
-    while start_name in used:
-        start_name = f"B_{n}"
-        n += 1
-    start = nonterminal(start_name)
+    start = _fresh_nonterminal("B", used)
     wiring = Production(
-        SymbolString((start,)),
-        SymbolString((nonterminal(visited[s0]),)),
-        weight=1.0,
+        SymbolString((start,)), SymbolString((visited[s0],)), weight=1.0
     )
     grammar = Grammar(
-        nonterminals={start} | {nonterminal(n) for n in visited.values()},
+        nonterminals={start} | set(visited.values()),
         terminals=set(terminals),
         start=start,
         productions=[wiring] + productions,

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 from .autoregressive import GenerationRecord, Predictor, generate
 from .bridge import (
-    FormCheckStatus,
     StateBudgetExceededError,
     build_trace_report,
     check_weak_equivalence,
@@ -173,8 +172,7 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_extract(args: argparse.Namespace) -> tuple[str, int]:
     report = build_trace_report(_generation_run(args))
-    failed = any(c.status is FormCheckStatus.FAIL for c in report.form_checks)
-    code = EXIT_NEGATIVE if failed or not report.conforming else EXIT_OK
+    code = EXIT_OK if report.conforming else EXIT_NEGATIVE
     return serialize_trace(report), code
 
 

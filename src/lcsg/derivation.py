@@ -129,13 +129,12 @@ def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
 
 
 def _nullable_closure(g: Grammar) -> frozenset[Symbol]:
+    """The symbols that derive the empty string; every lhs here is one symbol."""
     nullable: set[Symbol] = set()
     changed = True
     while changed:
         changed = False
         for p in g.productions:
-            if len(p.lhs) != 1:
-                continue
             head = p.lhs[0]
             if head in nullable:
                 continue

@@ -15,7 +15,9 @@ Classification assigns each production every form template it satisfies:
 ``LEFT_CS``
     a decomposition ``lhs = alpha A``, ``rhs = alpha R`` exists with
     ``alpha`` arbitrary, ``A`` nonterminal, and ``R`` non-empty.  The
-    rewrite depends only on context to the left and preserves it.
+    rewrite depends only on context to the left and preserves it.  The
+    rule's one home, ``_left_cs_defect``, also decides the form check that
+    ``bridge.check_left_cs_form`` runs on every extracted production.
 ``STRICT_CS``
     a decomposition ``lhs = alpha A beta``, ``rhs = alpha R beta`` exists
     with ``R`` non-empty, preserving context on both sides.
@@ -145,12 +147,15 @@ GRAMMAR_CLASS_ORDER: tuple[ProductionClass, ...] = (
 )
 
 
-def _is_left_cs_form(lhs: SymbolString, rhs: SymbolString) -> bool:
+def _left_cs_defect(lhs: tuple, rhs: tuple, ends_in_nonterminal: bool) -> str | None:
+    """The first way ``lhs -> rhs`` misses ``alpha A -> alpha R``, or None."""
     # The only candidate split puts the rewritten nonterminal last.
-    if not lhs[-1].is_nonterminal:
-        return False
+    if not ends_in_nonterminal:
+        return "no_trailing_nonterminal"
     alpha = lhs[:-1]
-    return len(rhs) > len(alpha) and rhs.startswith(alpha)
+    if rhs[: len(alpha)] != alpha:
+        return "left_context_changed"
+    return "empty_remainder" if len(rhs) == len(alpha) else None
 
 
 def _is_strict_cs_form(lhs: SymbolString, rhs: SymbolString) -> bool:
@@ -180,7 +185,7 @@ def classify_production(p: Production) -> frozenset[ProductionClass]:
             and p.rhs[1].is_nonterminal
         ):
             classes.add(ProductionClass.REGULAR)
-    if _is_left_cs_form(p.lhs, p.rhs):
+    if _left_cs_defect(p.lhs.symbols, p.rhs.symbols, p.lhs[-1].is_nonterminal) is None:
         classes.add(ProductionClass.LEFT_CS)
     if _is_strict_cs_form(p.lhs, p.rhs):
         classes.add(ProductionClass.STRICT_CS)

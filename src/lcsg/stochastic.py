@@ -65,8 +65,6 @@ class WeightedGrammar:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.weights, tuple):
-            object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.weights) != len(self.grammar.productions):
             raise ValueError(

@@ -42,6 +42,11 @@ text or items stand for an equal left side, and the left side's context
 for the head of the right side.  So each line resolves or renders only
 its new items, and the rest is copying.  Lines that do not chain take the
 general path and give the same text and values.
+
+A report's text carries no production count, so a report cut after a
+whole production line parses, with the cut run's header verdicts: the
+serializer writes that very text for a shorter report.  To check a
+report, rebuild it from its record with ``build_trace_report``.
 """
 
 from __future__ import annotations

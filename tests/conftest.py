@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -8,6 +9,14 @@ import pytest
 from lcsg import Grammar, WeightedGrammar, parse_grammar
 
 DATA = Path(__file__).parent / "data"
+
+# pyproject.toml puts src on this process's sys.path; put it first on the
+# PYTHONPATH that child processes inherit too, so that a `python -c` child
+# imports the same lcsg as the tests, not another copy or none.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

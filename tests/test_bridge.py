@@ -4,6 +4,7 @@ plus writing finite-state predictors back down as weighted grammars."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lcsg import (
     B_DYN,
@@ -11,6 +12,7 @@ from lcsg import (
     DynamicProduction,
     FormCheckStatus,
     NonconformingRecordError,
+    Production,
     PredictorState,
     ReplayMismatchError,
     StateBudgetExceededError,
@@ -21,11 +23,13 @@ from lcsg import (
     check_left_cs_form,
     check_weak_equivalence,
     classify_grammar,
+    classify_production,
     extract_productions,
     generate,
     grammar_predictor,
     induce_grammar,
     is_right_linear,
+    nonterminal,
     lambda_free_skeleton,
     ngram_train,
     parse_grammar,
@@ -181,6 +185,25 @@ def test_form_check_failure_reasons():
     assert check.status is FormCheckStatus.PASS and check.reason is None
 
 
+FORM_SYMBOLS = st.sampled_from(
+    [terminal("a"), terminal("b"), nonterminal("A"), nonterminal("B")]
+)
+
+
+@given(
+    lhs=st.lists(FORM_SYMBOLS, min_size=1, max_size=3).filter(
+        lambda lhs: any(x.is_nonterminal for x in lhs)
+    ),
+    rhs=st.lists(FORM_SYMBOLS, max_size=4),
+)
+def test_classifier_and_form_check_apply_one_rule(lhs, rhs):
+    left_cs = ProductionClass.LEFT_CS in classify_production(
+        Production(SymbolString(tuple(lhs)), SymbolString(tuple(rhs)))
+    )
+    check = check_left_cs_form(DynamicProduction("interior", lhs, rhs))
+    assert left_cs == (check.status is FormCheckStatus.PASS)
+
+
 # --- replay ---
 
 
@@ -209,6 +232,16 @@ def test_replay_rejects_leftover_nonterminals():
         replay(productions)
 
 
+
+def test_replay_refuses_a_closing_production_off_the_tail():
+    productions = list(extract_productions(bigram_run(max_t=3)))
+    stray = DynamicNonterminal(PredictorState("ngram", ("z",)), 9)
+    productions[-1] = DynamicProduction("terminal", (stray,), ())
+    with pytest.raises(ReplayMismatchError, match="closing left side") as info:
+        replay(productions)
+    assert info.value.index == len(productions) - 1
+
+
 # --- the one-call report ---
 
 
@@ -224,6 +257,17 @@ def test_build_trace_report_on_a_conforming_run():
     statuses = [c.status for c in report.form_checks]
     assert statuses.count(FormCheckStatus.EXEMPT_TERMINAL) == 1
     assert statuses[-1] is FormCheckStatus.EXEMPT_TERMINAL
+
+
+
+def test_a_report_whose_replay_leaves_a_nonterminal_does_not_conform():
+    prompt = SymbolString((nonterminal("X"),))
+    rec = GenerationRecord(
+        prompt, (), prompt, "END_sampled", 0, "greedy", PredictorState("ngram", ())
+    )
+    report = build_trace_report(rec)
+    assert report.replay_result is None
+    assert not report.conforming
 
 
 # --- induction ---
@@ -293,6 +337,33 @@ def test_induction_respects_the_state_budget():
 def test_induction_requires_vocab_coverage():
     with pytest.raises(ValueError, match="cover"):
         induce_grammar(bigram_pred(), vocab=("a",), max_context_len=4)
+
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"max_context_len": -1}, "max_context_len"), ({"state_budget": 0}, "state_budget")],
+)
+def test_induction_refuses_bad_bounds(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        induce_grammar(bigram_pred(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "corpus, start, after_a",
+    [
+        ([["a", "B"], ["s_a", "a"]], "B_2", "s_a_2"),
+        ([["a", "B", "B_2"], ["s_a", "s_a_2", "a"]], "B_3", "s_a_3"),
+    ],
+)
+def test_induced_names_skip_every_name_already_used(corpus, start, after_a):
+    wg = induce_grammar(ngram_train(corpus, 1), max_context_len=3)
+    g = wg.grammar
+    assert g.start.name == start
+    after = [p.rhs[1].name for p in g.productions if p.rhs and p.rhs[0] == terminal("a")]
+    assert set(after) == {after_a}
+    terminal_names = {t.name for t in g.terminals}
+    assert not terminal_names & {n.name for n in g.nonterminals}
 
 
 def test_lambda_free_skeleton_is_right_linear_regular():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -210,6 +212,15 @@ def test_generate_grammar_family_needs_a_grammar(capsys):
     assert "needs -g" in err
 
 
+@pytest.mark.parametrize(
+    "family, flag", [("ngram", "--corpus"), ("toy_attention", "--vocab")]
+)
+def test_generate_families_need_their_inputs(family, flag, capsys):
+    code, _, err = run(["generate", "--predictor", family, "--seed", "0"], capsys)
+    assert code == 2
+    assert f"--predictor {family} needs {flag}" in err
+
+
 def test_extract_emits_a_conforming_report(capsys):
     code, out, _ = run(
         [
@@ -345,6 +356,18 @@ def test_repeat_invocations_are_byte_identical(capsys):
     first = run(argv, capsys)
     second = run(argv, capsys)
     assert first == second
+
+
+README = DATA.parents[1] / "README.md"
+TRANSCRIPT_RE = re.compile(r"^```\n\$ (lcsg [^\n]*)\n(.*?)^```$", re.DOTALL | re.MULTILINE)
+
+
+def test_readme_transcripts_are_what_the_commands_print(monkeypatch, capsys):
+    transcripts = TRANSCRIPT_RE.findall(README.read_text())
+    assert len(transcripts) == 2
+    monkeypatch.chdir(README.parent)
+    for command, printed in transcripts:
+        assert run(shlex.split(command)[1:], capsys) == (0, printed, ""), command
 
 
 def test_console_script_is_wired():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -347,3 +349,46 @@ def test_render_is_deterministic(abc):
     assert render_grammar(parse_grammar(rendered)) == rendered
     # alphabets come out sorted regardless of declaration order
     assert "nonterminals: B C S" in rendered
+
+
+HEADER = "start: S\nterminals: a\nnonterminals: S\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("start:\nterminals: a\nnonterminals: S\nS -> a\n", 1, "exactly one symbol"),
+        ("start: S T\nterminals: a\nnonterminals: S T\nS -> a\n", 1, "exactly one symbol"),
+        ("start: S\nterminals: a a\nnonterminals: S\nS -> a\n", 2, "duplicate symbol declaration: a"),
+        ("start: S\nterminals: a\nnonterminals: S a\nS -> a\n", 3, "duplicate symbol declaration: a"),
+        ("start: S\nterminals: a ->\nnonterminals: S\nS -> a\n", 2, "reserved"),
+        ("start: S\nterminals: a\nnonterminals: S |\nS -> a\n", 3, "reserved"),
+        (HEADER + "S a\n", 4, "exactly one '->'"),
+        (HEADER + "S -> a -> a\n", 4, "exactly one '->'"),
+        (HEADER + "S | S -> a\n", 4, "'|' may only appear on the rhs"),
+        (HEADER + "S -> a |\n", 4, "empty rhs"),
+        (HEADER + "S -> a _\n", 4, "'_' must stand alone"),
+        (HEADER + "S -> a\na -> a S\n", 5, "lhs needs a nonterminal"),
+        (HEADER + "S -> a p=-1\n", 4, "weight must be finite and >= 0"),
+        ("start: T\nterminals: a\nnonterminals: S\nS -> a\n", 1, "start symbol is undeclared: T"),
+    ],
+)
+def test_parse_refusals_name_their_line(text, line, message):
+    with pytest.raises(GrammarParseError, match=re.escape(message)) as info:
+        parse_grammar(text)
+    assert info.value.line == line
+
+
+def test_alternatives_on_one_line_keep_their_own_weights():
+    g = parse_grammar(
+        "start: S\nterminals: a b\nnonterminals: S\nS -> a S p=2 | b | _ p=0.5\n"
+    )
+    S = nonterminal("S")
+    assert [(p.lhs, p.rhs, p.weight) for p in g.productions] == [
+        (s(S), s(a, S), 2.0),
+        (s(S), s(b), None),
+        (s(S), EMPTY, 0.5),
+    ]
+    rendered = render_grammar(g)
+    assert rendered.splitlines()[3:] == ["S -> a S p=2.0", "S -> b", "S -> _ p=0.5"]
+    assert parse_grammar(rendered) == g

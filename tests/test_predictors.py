@@ -10,6 +10,7 @@ import pytest
 from lcsg import (
     DeadEndError,
     EmptyCorpusError,
+    Grammar,
     ImpossibleContextError,
     NotLeftLinearizableError,
     SymbolString,
@@ -18,6 +19,7 @@ from lcsg import (
     ZeroMassError,
     grammar_predictor,
     ngram_train,
+    nonterminal,
     parse_grammar,
     read_corpus,
     read_vocab,
@@ -94,6 +96,13 @@ def test_left_context_gates_the_expansion():
 def test_non_left_cs_grammars_are_refused(abc):
     with pytest.raises(ValueError, match="not left context-sensitive"):
         grammar_predictor(WeightedGrammar.from_grammar(abc))
+
+
+def test_invalid_grammars_are_refused():
+    g = parse_grammar("start: S\nterminals: a\nnonterminals: S\nS -> a\n")
+    undeclared_start = Grammar(g.nonterminals, g.terminals, nonterminal("T"), g.productions)
+    with pytest.raises(ValueError, match="invalid grammar: start symbol"):
+        grammar_predictor(WeightedGrammar.from_grammar(undeclared_start))
 
 
 def test_nonterminal_left_of_terminal_fails_lazily():
@@ -329,6 +338,8 @@ def test_attention_is_declared_infinite_state():
         pred.next_distribution(pred.initial_state, toks("z"))
     with pytest.raises(ValueError):
         toy_attention_predictor(seed=0, embed_dim=2, vocab=())
+    with pytest.raises(ValueError, match="embed_dim must be >= 1"):
+        toy_attention_predictor(seed=0, embed_dim=0, vocab=("a",))
 
 
 # --- external formats ---

@@ -13,6 +13,7 @@ from lcsg import (
     DeadEndError,
     StringDistribution,
     WeightedGrammar,
+    ZeroMassError,
     exact_distribution,
     normalize_weights,
     parse_grammar,
@@ -50,6 +51,13 @@ def test_weight_count_must_match():
         WeightedGrammar(g, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("weight", [-1.0, float("inf")])
+def test_weights_must_be_finite_and_nonnegative(weight):
+    g = parse_grammar("start: S\nterminals: a\nnonterminals: S\nS -> a\nS -> a S\n")
+    with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+        WeightedGrammar(g, (1.0, weight))
+
+
 # --- per-form renormalization ---
 
 
@@ -74,6 +82,15 @@ def test_dead_end_form_raises():
     )
     with pytest.raises(DeadEndError):
         normalize_weights(wg, wg.grammar.string_of(["a", "A", "a"]))
+
+
+def test_zero_mass_form_raises():
+    wg = wg_from(
+        "start: S\nterminals: a b c\nnonterminals: S A\n"
+        "S -> a A\na A -> a b p=0\nb A -> b c\n"
+    )
+    with pytest.raises(ZeroMassError, match="sum to zero at a A$"):
+        normalize_weights(wg, wg.grammar.string_of(["a", "A"]))
 
 
 # --- sampling ---
@@ -189,6 +206,9 @@ def test_distribution_validates_its_own_mass(loop):
         StringDistribution({g.string_of(["a"]): 0.9}, bound=1, residual=0.3)
     with pytest.raises(ValueError):
         StringDistribution({g.string_of(["a", "a"]): 0.5}, bound=1)
+    for residual in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="residual out of range"):
+            StringDistribution({}, bound=1, residual=residual)
 
 
 def test_total_variation_basics(loop):

@@ -358,3 +358,53 @@ def test_serialized_encodings_parse_without_compiling(monkeypatch):
         patched.setattr(ast, "parse", refuse)
         parsed = [parse_trace(text) for text in texts]
     assert parsed == values
+
+
+# --- refusals of each kind
+
+
+@SIDECAR_HEADS
+@pytest.mark.parametrize(
+    "encoding, message",
+    [("('ngram', x)", "bad state encoding"), ("(1, ())", "state family must be a string")],
+    ids=["not-a-literal", "family-not-a-string"],
+)
+def test_sidecar_encodings_must_be_literals_of_a_named_family(head, encoding, message):
+    edited = head.replace("('ngram', ())", encoding)
+    with pytest.raises(TraceParseError, match=message) as info:
+        parse_trace(edited)
+    assert info.value.line == 2
+
+
+def test_the_initial_state_needs_a_sidecar_line():
+    header = GEN_HEAD.format("_").splitlines()[0]
+    with pytest.raises(TraceParseError, match="initial state id is not in the table") as info:
+        parse_trace(header + "\n")
+    assert info.value.line == 1
+
+
+def test_a_bad_report_header_is_refused():
+    with pytest.raises(TraceParseError, match="bad report header") as info:
+        parse_trace(REPORT_HEAD.format("").replace("seed=1", "seed=x"))
+    assert info.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        GEN_HEAD.format("_"),
+        "kind=derivation\ng start: S\ng terminals: a\ng nonterminals: S\ng S -> a\n",
+        REPORT_HEAD.format(""),
+    ],
+    ids=["generation", "derivation", "report"],
+)
+def test_unrecognized_lines_are_refused_in_every_kind(head):
+    text = head + "step 0 says hello\n"
+    with pytest.raises(TraceParseError, match="unrecognized line") as info:
+        parse_trace(text)
+    assert info.value.line == len(text.splitlines())
+
+
+def test_only_the_three_trace_kinds_serialize():
+    with pytest.raises(TypeError, match="cannot serialize PredictorState"):
+        serialize_trace(PredictorState("ngram", ()))
