@@ -30,10 +30,16 @@ again starts cold.  The view is freed with its grammar and is never pickled.
 
 For each form it reaches, a search keeps the :class:`DerivationStep` that
 first reached it, and the trace ``derives_bounded`` returns is the chain of
-those steps back to the start form.  A search expands at most ``fuel``
-forms, so a completed search keeps at most ``fuel`` forms; one that runs
-out of fuel also keeps the forms it reached but did not expand, up to
-``fuel`` times the largest number of rewrites of one form, plus one.
+those steps back to the start form.  For each form it expands, it also
+records every rewrite in successor order, as the production index and the
+child: the very form object the search keeps, or ``None`` where the child
+leaves the bound.  Exact probabilities read their edges from this record
+and expand no form themselves.  A search expands at most ``fuel`` forms,
+so a completed search keeps at most ``fuel`` forms; one that runs out of
+fuel also keeps the forms it reached but did not expand, up to ``fuel``
+times the largest number of rewrites of one form, plus one.  Either way it
+records at most ``fuel`` times that number of rewrites, each a pair of an
+index and a reference, with no form of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ DEFAULT_FUEL = 1_000_000
 # Searches kept per grammar: room for one query length after another up to
 # 15, while a grammar's parent maps stay bounded.  Each holds at most
 # ``fuel`` forms if its search completed, and otherwise up to ``fuel`` times
-# the largest number of rewrites of one form, plus one.
+# the largest number of rewrites of one form, plus one; and at most that
+# product of recorded rewrites.
 _SEARCH_CACHE_SIZE = 16
 
 
@@ -169,6 +176,10 @@ class _Reachability:
     # Each form the search reached -> the step that first reached it, None
     # for the start form; a trace is the chain of these steps back to it.
     parents: dict[SymbolString, DerivationStep | None]
+    # The rewrites of the i-th expanded form, which is the i-th key of
+    # ``parents``, in successor order: (production index, the child as
+    # ``parents``' own key, or None where the child leaves the bound).
+    rewrites: list[tuple[tuple[int, SymbolString | None], ...]]
     completed: bool
 
 
@@ -226,23 +237,46 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     return reach
 
 
+_UNSEEN = object()  # parents.get's default: the form was not reached before
+
+
 def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
+    # The loop of ``successors``, kept apart on purpose: the search builds a
+    # DerivationStep only for a form it reaches first, and a rewrite helper
+    # shared with ``successors`` slowed the sampler.  The differential tests
+    # check that the two loops agree.
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, DerivationStep | None] = {initial: None}
+    rewrites: list[tuple[tuple[int, SymbolString | None], ...]] = []
     frontier: deque[SymbolString] = deque([initial])
-    expanded = 0
+    by_head = view.by_head
     while frontier:
-        if expanded >= fuel:
-            return _Reachability(parents, completed=False)
+        if len(rewrites) >= fuel:
+            return _Reachability(parents, rewrites, completed=False)
         form = frontier.popleft()
-        expanded += 1
-        for step in successors(form, g):
-            child = step.after
-            if child in parents or view.min_yield(child) > max_len:
-                continue
-            parents[child] = step
-            frontier.append(child)
-    return _Reachability(parents, completed=True)
+        symbols = form.symbols
+        out: list[tuple[int, SymbolString | None]] = []
+        for position, head in enumerate(symbols):
+            for index, lhs, rhs in by_head.get(head.name, ()):
+                end = position + len(lhs)
+                if symbols[position:end] != lhs:
+                    continue
+                after = SymbolString._of(symbols[:position] + rhs + symbols[end:])
+                first = parents.get(after, _UNSEEN)
+                # A form reached before is recorded as the map's own key,
+                # which the step that first reached it holds too.
+                if first is None:
+                    after = initial
+                elif first is not _UNSEEN:
+                    after = first.after
+                elif view.min_yield(after) <= max_len:
+                    parents[after] = DerivationStep(form, index, position, after)
+                    frontier.append(after)
+                else:
+                    after = None  # the rewrite leaves the bound
+                out.append((index, after))
+        rewrites.append(tuple(out))
+    return _Reachability(parents, rewrites, completed=True)
 
 
 def derives_bounded(

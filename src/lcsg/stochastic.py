@@ -20,9 +20,12 @@ point: results are exact only up to rounding.  Its memory grows with the
 square of the layer size and its time with the cube, so a layer of a few
 thousand forms takes seconds and hundreds of MB.  ``exact_distribution`` reads every
 string of its support from one such sweep.  The sweep explores nothing
-itself: it reads its forms from the grammar's cached bounded search, the
-one that also serves ``derives_bounded`` and ``enumerate_language``, and so
-shares that search's fuel and its 16-entry bound per grammar object.
+itself: it reads its forms, and the rewrites of each, from the grammar's
+cached bounded search, the one that also serves ``derives_bounded`` and
+``enumerate_language``, and so shares that search's fuel and its 16-entry
+bound per grammar object.  The search also decides which rewrites leave
+the bound.  ``_renormalized`` is the one home of renormalization, for the
+sampler's steps and the sweep's edges alike.
 """
 
 from __future__ import annotations
@@ -119,6 +122,14 @@ class SampledDerivation:
     truncated: bool
 
 
+def _renormalized(items: list, raw: list[float]) -> list[tuple]:
+    """Each item with its raw weight over their sum; ``[]`` if that sum is zero."""
+    total = sum(raw)
+    if total <= 0.0:
+        return []
+    return [(item, w / total) for item, w in zip(items, raw)]
+
+
 def normalize_weights(
     wg: WeightedGrammar, form: SymbolString
 ) -> list[tuple[DerivationStep, float]]:
@@ -128,11 +139,10 @@ def normalize_weights(
         if form.is_all_terminal():
             raise ValueError(f"form is all-terminal, no steps apply: {form}")
         raise DeadEndError(f"no applicable step at {form}")
-    raw = [wg.weights[s.production_index] for s in steps]
-    total = sum(raw)
-    if total <= 0.0:
+    distribution = _renormalized(steps, [wg.weights[s.production_index] for s in steps])
+    if not distribution:
         raise ZeroMassError(f"applicable weights sum to zero at {form}")
-    return [(s, w / total) for s, w in zip(steps, raw)]
+    return distribution
 
 
 def sample_derivation(
@@ -161,36 +171,33 @@ def sample_derivation(
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
     """The absorbed mass of every terminal string of length at most ``bound``.
 
-    The sweep reads its forms from the grammar's cached bounded search,
-    :func:`lcsg.derivation._bounded_reachability`, and explores nothing
-    itself.  The search keeps the forms whose minimal yield fits ``bound``;
-    an edge to any other form carries mass that escapes the bound.  One
-    sweep serves every length up to ``bound`` because, for all three
-    accepted grammar shapes, the minimal yield never decreases along a
-    derivation.  Every form on a derivation of a shorter ``w``, and every
-    ancestor of such a form, is therefore kept at the larger bound too,
-    while the forms added by the larger bound cannot derive ``w``.  The
-    linear system that determines ``w``'s mass is unchanged.
+    The sweep reads its forms and their rewrites from the grammar's cached
+    bounded search, :func:`lcsg.derivation._bounded_reachability`, and
+    expands no form itself.  The search keeps the forms whose minimal yield
+    fits ``bound``, and records a rewrite to any other form with the child
+    ``None``: its weight counts in the renormalization at its form, as in
+    ``normalize_weights``, and its mass escapes the bound.  One sweep serves
+    every length up to ``bound`` because, for all three accepted grammar
+    shapes, the minimal yield never decreases along a derivation.  Every
+    form on a derivation of a shorter ``w``, and every ancestor of such a
+    form, is therefore kept at the larger bound too, while the forms added
+    by the larger bound cannot derive ``w``.  The linear system that
+    determines ``w``'s mass is unchanged.
     """
     g = wg.grammar
     reach = _bounded_reachability(g, bound, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-    forms = reach.parents
     # The transient (non-terminal) forms and their outgoing distributions.
+    # A form with no rewrite, or whose weights sum to zero, gets no edges.
     edges: dict[SymbolString, list[tuple[SymbolString, float]]] = {}
-    for form in forms:
+    for form, rewrites in zip(reach.parents, reach.rewrites):
         if form.is_all_terminal():
             continue
-        try:
-            distribution = normalize_weights(wg, form)
-        except (DeadEndError, ZeroMassError):
-            edges[form] = []
-            continue
         out: list[tuple[SymbolString, float]] = []
-        for step, p in distribution:
-            child = step.after
-            if child not in forms:
+        raw = [wg.weights[index] for index, _ in rewrites]
+        for (_, child), p in _renormalized(rewrites, raw):
+            if child is None:
                 continue  # the mass escapes the bound and is dropped
             if len(child) < len(form) and not child.is_all_terminal():
                 raise ValueError(

@@ -370,6 +370,26 @@ def test_readme_transcripts_are_what_the_commands_print(monkeypatch, capsys):
         assert run(shlex.split(command)[1:], capsys) == (0, printed, ""), command
 
 
+COMMAND_BLOCK_RE = re.compile(r"^## Command line\n.*?^```sh\n(.*?)^```$", re.DOTALL | re.MULTILINE)
+LIBRARY_RE = re.compile(r"^## Library\n\n```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
+
+
+def test_readme_command_lines_run_from_the_root(monkeypatch, capsys):
+    block = COMMAND_BLOCK_RE.search(README.read_text()).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 10
+    monkeypatch.chdir(README.parent)
+    for argv in commands:
+        assert argv[0] == "lcsg"
+        code, _, err = run(argv[1:], capsys)
+        assert code in (0, 1), (argv, err)
+
+
+def test_readme_library_example_runs_from_the_root(monkeypatch):
+    monkeypatch.chdir(README.parent)
+    exec(LIBRARY_RE.search(README.read_text()).group(1), {})
+
+
 def test_console_script_is_wired():
     proc = subprocess.run(
         [sys.executable, "-m", "lcsg.cli", "validate", "-g", ABC],

@@ -83,6 +83,7 @@ def test_both_search_bounds_hold_at_every_fuel():
             assert len(reach.parents) <= fuel
         else:
             assert len(reach.parents) <= fuel * most + 1
+        assert sum(len(rewrites) for rewrites in reach.rewrites) <= fuel * most
 
 
 def test_nine_lengths_stay_cached_together():

@@ -7,6 +7,11 @@ library must give the same ``successors`` list, in the same (position,
 production index) order, the same search tree (the parent map in insertion
 order, so also the same BFS order, each kept step read as the oracle's
 parent tuple), and the same exception type where the oracle raises.
+
+The search records its rewrites with a loop of its own, not through
+``successors``, so each search here also checks that record against
+``successors``: the same rewrites in the same order, each child the
+parent map's own key, or ``None`` where it leaves the bound.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from lcsg import (
     successors,
     terminal,
 )
-from lcsg.derivation import _bounded_reachability
+from lcsg.derivation import DEFAULT_FUEL, _bounded_reachability
 
 SEARCH_FUEL = 150  # small, so that erasing grammars whose forms grow stop quickly
 
@@ -49,6 +54,21 @@ def assert_same_successors(form: SymbolString, g: Grammar) -> None:
     assert step_list(successors(form, g)) == step_list(oracle.successors(form, g))
 
 
+def assert_rewrites_match_successors(g: Grammar, reach) -> None:
+    keys = {form: form for form in reach.parents}
+    assert len(reach.rewrites) <= len(reach.parents)
+    if reach.completed:
+        assert len(reach.rewrites) == len(reach.parents)
+    for form, rewrites in zip(reach.parents, reach.rewrites):
+        steps = successors(form, g)
+        assert [index for index, _ in rewrites] == [s.production_index for s in steps]
+        for (_, child), step in zip(rewrites, steps):
+            if step.after in keys:
+                assert child is keys[step.after]
+            else:
+                assert child is None
+
+
 def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> None:
     want = outcome(oracle._bounded_reachability, g, max_len, fuel)
     got = outcome(_bounded_reachability, g, max_len, fuel)
@@ -64,6 +84,7 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
         else:
             assert (step.before, step.production_index, step.position) == want.parents[form]
             assert step.after == form
+    assert_rewrites_match_successors(g, got)
 
 
 def grammar(productions) -> Grammar:
@@ -136,6 +157,16 @@ def test_fixture_languages_and_traces_match_the_oracle(name, max_len):
             assert derives_bounded(g, w) == oracle.derives_bounded(g, w), str(w)
     for form in oracle._bounded_reachability(g, max_len, SEARCH_FUEL).parents:
         assert_same_successors(form, g)
+
+
+@pytest.mark.parametrize(
+    "name, max_len",
+    [("abc.grammar", 9), ("crossserial.grammar", 8), ("chain.grammar", 4), ("loop.grammar", 6)],
+)
+@pytest.mark.parametrize("fuel", [7, DEFAULT_FUEL])
+def test_fixture_searches_record_what_successors_gives(name, max_len, fuel):
+    g = load_grammar(name)
+    assert_rewrites_match_successors(g, _bounded_reachability(g, max_len, fuel))
 
 
 def test_the_unhandled_contraction_fixture_is_refused_by_both():

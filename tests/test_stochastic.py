@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import lcsg.derivation
+import lcsg.stochastic
 from lcsg import (
     BoundMismatchError,
     DeadEndError,
@@ -22,6 +24,7 @@ from lcsg import (
     total_variation,
 )
 from lcsg.symbols import SymbolString
+from conftest import DATA, load_weighted
 
 
 def wg_from(text: str) -> WeightedGrammar:
@@ -149,10 +152,11 @@ def test_string_probability_multiplies_along_the_chain():
     assert string_probability(wg, w) == pytest.approx(0.21, abs=1e-12)
 
 
+UNIT_CYCLE = "start: S\nterminals: a\nnonterminals: S A B\nS -> A\nA -> B\nB -> A\nA -> a\n"
+
+
 def test_same_length_cycles_are_solved_exactly():
-    wg = wg_from(
-        "start: S\nterminals: a\nnonterminals: S A B\nS -> A\nA -> B\nB -> A\nA -> a\n"
-    )
+    wg = wg_from(UNIT_CYCLE)
     # half the mass leaves the A/B cycle each visit; all of it ends at "a"
     assert string_probability(wg, wg.grammar.string_of(["a"])) == pytest.approx(
         1.0, abs=1e-12
@@ -242,11 +246,11 @@ print(repr(total_variation(d1, d2)))
 """
 
 
-def test_total_variation_is_identical_across_hash_seeds():
+def outputs_across_hash_seeds(script: str, *args: str) -> set[str]:
     outputs = set()
     for seed in ("0", "1", "12345"):
         child = subprocess.run(
-            [sys.executable, "-c", _TOTAL_VARIATION],
+            [sys.executable, "-c", script, *args],
             env=dict(os.environ, PYTHONHASHSEED=seed),
             capture_output=True,
             text=True,
@@ -254,7 +258,56 @@ def test_total_variation_is_identical_across_hash_seeds():
         )
         assert child.returncode == 0, child.stderr
         outputs.add(child.stdout)
+    return outputs
+
+
+def test_total_variation_is_identical_across_hash_seeds():
+    outputs = outputs_across_hash_seeds(_TOTAL_VARIATION)
     assert len(outputs) == 1, outputs
+
+
+_EXACT_DISTRIBUTIONS = """
+import sys
+from lcsg import WeightedGrammar, exact_distribution, parse_grammar
+for text, bound in ((open(sys.argv[1]).read(), 8), (sys.argv[2], 1)):
+    print(repr(exact_distribution(WeightedGrammar.from_grammar(parse_grammar(text)), bound)))
+"""
+
+
+def test_exact_distributions_are_identical_across_hash_seeds():
+    outputs = outputs_across_hash_seeds(
+        _EXACT_DISTRIBUTIONS, str(DATA / "crossserial.grammar"), UNIT_CYCLE
+    )
+    assert len(outputs) == 1, outputs
+    crossserial, unit_cycle = outputs.pop().splitlines()
+    assert "<a b c d>: 0.25" in crossserial
+    assert "{<a>: 1.0}" in unit_cycle
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("crossserial.grammar", 10), ("abc.grammar", 12), ("loop.grammar", 16)]
+)
+def test_exact_probabilities_expand_no_form_themselves(name, bound, monkeypatch):
+    calls = []
+
+    def counted(f):
+        def call(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return call
+
+    want = exact_distribution(load_weighted(name), bound)
+    for module, attr in (
+        (lcsg.derivation, "successors"),
+        (lcsg.stochastic, "successors"),
+        (lcsg.stochastic, "normalize_weights"),
+    ):
+        monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    wg = load_weighted(name)  # a fresh parse: its search runs under the patch
+    assert exact_distribution(wg, bound) == want
+    assert exact_distribution(wg, bound) == want  # and is then cached
+    assert calls == []
 
 
 def test_empirical_frequencies_approach_exact_probabilities(loop):
