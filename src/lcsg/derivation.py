@@ -1,8 +1,10 @@
 """One-step rewriting and bounded derivation search.
 
-``apply_step`` rewrites a single window of a sentential form.  ``successors``
-enumerates every one-step rewrite of a form in (position, production index)
-lexicographic order, which fixes the exploration order everywhere else.
+``apply_step`` rewrites a single window of a sentential form.  ``_rewrites``
+is the one loop that lists every one-step rewrite of a form, in (position,
+production index) lexicographic order, which fixes the exploration order
+everywhere else.  ``successors`` wraps each rewrite in a
+:class:`DerivationStep`; the bounded search and the sampler read them bare.
 
 ``derives_bounded`` and ``enumerate_language`` run a breadth-first search
 over sentential forms whose minimal terminal yield stays within the length
@@ -20,7 +22,7 @@ outcome from a definitive "not derivable".
 
 Each ``Grammar`` is compiled once, on first use, into a view that the
 grammar instance itself holds (:func:`_compiled`).  It groups the
-productions by the first symbol of their lhs, so ``successors`` tries at
+productions by the first symbol of their lhs, so ``_rewrites`` tries at
 each position only the productions that start with the symbol there.  On
 the first search it also holds the search profile.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
@@ -52,10 +54,8 @@ from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
 # Searches kept per grammar: room for one query length after another up to
-# 15, while a grammar's parent maps stay bounded.  Each holds at most
-# ``fuel`` forms if its search completed, and otherwise up to ``fuel`` times
-# the largest number of rewrites of one form, plus one; and at most that
-# product of recorded rewrites.
+# 15, while a grammar's parent maps stay bounded (the module docstring gives
+# the bound on the forms and rewrites that one search keeps).
 _SEARCH_CACHE_SIZE = 16
 
 
@@ -119,11 +119,11 @@ def apply_step(w: SymbolString, p: Production, position: int) -> SymbolString:
     return w[:position] + p.rhs + w[position + len(p.lhs):]
 
 
-def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
-    """All one-step rewrites of ``w``, ordered by (position, production index)."""
-    by_head = _compiled(g).by_head
-    symbols = w.symbols
-    steps: list[DerivationStep] = []
+def _rewrites(form: SymbolString, by_head: dict) -> list[tuple[int, int, SymbolString]]:
+    """Every one-step rewrite of ``form``, as (production index, position,
+    after), in successor order; ``by_head`` is the compiled grammar's."""
+    symbols = form.symbols
+    out: list[tuple[int, int, SymbolString]] = []
     for position, head in enumerate(symbols):
         for index, lhs, rhs in by_head.get(head.name, ()):
             # The whole-tuple comparison also tells kinds apart under one
@@ -131,8 +131,13 @@ def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
             end = position + len(lhs)
             if symbols[position:end] == lhs:
                 after = SymbolString._of(symbols[:position] + rhs + symbols[end:])
-                steps.append(DerivationStep(w, index, position, after))
-    return steps
+                out.append((index, position, after))
+    return out
+
+
+def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
+    """All one-step rewrites of ``w``, ordered by (position, production index)."""
+    return [DerivationStep(w, *rewrite) for rewrite in _rewrites(w, _compiled(g).by_head)]
 
 
 def _nullable_closure(g: Grammar) -> frozenset[Symbol]:
@@ -241,40 +246,29 @@ _UNSEEN = object()  # parents.get's default: the form was not reached before
 
 
 def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
-    # The loop of ``successors``, kept apart on purpose: the search builds a
-    # DerivationStep only for a form it reaches first, and a rewrite helper
-    # shared with ``successors`` slowed the sampler.  The differential tests
-    # check that the two loops agree.
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, DerivationStep | None] = {initial: None}
     rewrites: list[tuple[tuple[int, SymbolString | None], ...]] = []
     frontier: deque[SymbolString] = deque([initial])
-    by_head = view.by_head
     while frontier:
         if len(rewrites) >= fuel:
             return _Reachability(parents, rewrites, completed=False)
         form = frontier.popleft()
-        symbols = form.symbols
         out: list[tuple[int, SymbolString | None]] = []
-        for position, head in enumerate(symbols):
-            for index, lhs, rhs in by_head.get(head.name, ()):
-                end = position + len(lhs)
-                if symbols[position:end] != lhs:
-                    continue
-                after = SymbolString._of(symbols[:position] + rhs + symbols[end:])
-                first = parents.get(after, _UNSEEN)
-                # A form reached before is recorded as the map's own key,
-                # which the step that first reached it holds too.
-                if first is None:
-                    after = initial
-                elif first is not _UNSEEN:
-                    after = first.after
-                elif view.min_yield(after) <= max_len:
-                    parents[after] = DerivationStep(form, index, position, after)
-                    frontier.append(after)
-                else:
-                    after = None  # the rewrite leaves the bound
-                out.append((index, after))
+        for index, position, after in _rewrites(form, view.by_head):
+            first = parents.get(after, _UNSEEN)
+            # A form reached before is recorded as the map's own key,
+            # which the step that first reached it holds too.
+            if first is None:
+                after = initial
+            elif first is not _UNSEEN:
+                after = first.after
+            elif view.min_yield(after) <= max_len:
+                parents[after] = DerivationStep(form, index, position, after)
+                frontier.append(after)
+            else:
+                after = None  # the rewrite leaves the bound
+            out.append((index, after))
         rewrites.append(tuple(out))
     return _Reachability(parents, rewrites, completed=True)
 

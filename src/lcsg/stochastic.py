@@ -7,8 +7,9 @@ distribution, so sampling walks the derivation space step by step.
 Sampling is reproducible by construction: the generator is ``random.Random``
 (MT19937), seeded explicitly, consuming exactly one uniform draw per
 derivation step, and the step is chosen by inverse CDF over the successor
-order of :func:`lcsg.derivation.successors`.  Identical seeds therefore
-yield identical traces on every platform.
+order of :func:`lcsg.derivation.successors`, though the sampler builds a
+:class:`DerivationStep` only for the rewrite it draws.  Identical seeds
+therefore yield identical traces on every platform.
 
 ``string_probability`` computes the exact total probability of a terminal
 string: the sum over all complete derivations of the product of step
@@ -41,8 +42,9 @@ from .derivation import (
     DerivationTrace,
     FuelExhaustedError,
     _bounded_reachability,
+    _compiled,
+    _rewrites,
     enumerate_language,
-    successors,
 )
 from .grammar import Grammar
 from .symbols import SymbolString
@@ -130,19 +132,24 @@ def _renormalized(items: list, raw: list[float]) -> list[tuple]:
     return [(item, w / total) for item, w in zip(items, raw)]
 
 
+def _step_distribution(wg: WeightedGrammar, form: SymbolString) -> list[tuple[tuple, float]]:
+    """``form``'s rewrites (index, position, after) renormalized, in successor order."""
+    rewrites = _rewrites(form, _compiled(wg.grammar).by_head)
+    if not rewrites:
+        if form.is_all_terminal():
+            raise ValueError(f"form is all-terminal, no steps apply: {form}")
+        raise DeadEndError(f"no applicable step at {form}")
+    distribution = _renormalized(rewrites, [wg.weights[r[0]] for r in rewrites])
+    if not distribution:
+        raise ZeroMassError(f"applicable weights sum to zero at {form}")
+    return distribution
+
+
 def normalize_weights(
     wg: WeightedGrammar, form: SymbolString
 ) -> list[tuple[DerivationStep, float]]:
     """The renormalized step distribution at ``form``, in successor order."""
-    steps = successors(form, wg.grammar)
-    if not steps:
-        if form.is_all_terminal():
-            raise ValueError(f"form is all-terminal, no steps apply: {form}")
-        raise DeadEndError(f"no applicable step at {form}")
-    distribution = _renormalized(steps, [wg.weights[s.production_index] for s in steps])
-    if not distribution:
-        raise ZeroMassError(f"applicable weights sum to zero at {form}")
-    return distribution
+    return [(DerivationStep(form, *rewrite), p) for rewrite, p in _step_distribution(wg, form)]
 
 
 def sample_derivation(
@@ -154,17 +161,17 @@ def sample_derivation(
     form = SymbolString((g.start,))
     steps: list[DerivationStep] = []
     while not form.is_all_terminal() and len(steps) < max_steps:
-        distribution = normalize_weights(wg, form)
+        distribution = _step_distribution(wg, form)
         u = rng.random()
         cumulative = 0.0
         chosen = distribution[-1][0]
-        for step, p in distribution:
+        for rewrite, p in distribution:
             cumulative += p
             if u < cumulative:
-                chosen = step
+                chosen = rewrite
                 break
-        steps.append(chosen)
-        form = chosen.after
+        steps.append(DerivationStep(form, *chosen))
+        form = steps[-1].after
     return SampledDerivation(DerivationTrace(g, tuple(steps)), not form.is_all_terminal())
 
 
@@ -188,9 +195,10 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
     reach = _bounded_reachability(g, bound, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-    # The transient (non-terminal) forms and their outgoing distributions.
-    # A form with no rewrite, or whose weights sum to zero, gets no edges.
+    # The transient (non-terminal) forms, their outgoing distributions and
+    # their layers by length.  A form with no rewrite, or zero mass, gets no edges.
     edges: dict[SymbolString, list[tuple[SymbolString, float]]] = {}
+    layers: dict[int, list[SymbolString]] = {}
     for form, rewrites in zip(reach.parents, reach.rewrites):
         if form.is_all_terminal():
             continue
@@ -206,14 +214,12 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
                 )
             out.append((child, p))
         edges[form] = out
+        layers.setdefault(len(form), []).append(form)
 
     absorbed: dict[SymbolString, float] = {}
     mass_in: dict[SymbolString, float] = {SymbolString((g.start,)): 1.0}
-    for length in sorted({len(f) for f in edges}):
-        layer = sorted(
-            (f for f in edges if len(f) == length),
-            key=lambda f: f.names(),
-        )
+    for length in sorted(layers):
+        layer = sorted(layers[length], key=lambda f: f.names())
         index = {f: i for i, f in enumerate(layer)}
         m0 = np.array([mass_in.get(f, 0.0) for f in layer])
         if not m0.any():

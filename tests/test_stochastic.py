@@ -284,11 +284,10 @@ def test_exact_distributions_are_identical_across_hash_seeds():
     assert "{<a>: 1.0}" in unit_cycle
 
 
-@pytest.mark.parametrize(
-    "name, bound", [("crossserial.grammar", 10), ("abc.grammar", 12), ("loop.grammar", 16)]
-)
-def test_exact_probabilities_expand_no_form_themselves(name, bound, monkeypatch):
-    calls = []
+def count_calls(monkeypatch) -> list[str]:
+    """Patch the one rewrite loop, as each module sees it, and the two public
+    step listings; return the list each call appends its name to."""
+    calls: list[str] = []
 
     def counted(f):
         def call(*args):
@@ -297,17 +296,38 @@ def test_exact_probabilities_expand_no_form_themselves(name, bound, monkeypatch)
 
         return call
 
-    want = exact_distribution(load_weighted(name), bound)
     for module, attr in (
+        (lcsg.derivation, "_rewrites"),
+        (lcsg.stochastic, "_rewrites"),
         (lcsg.derivation, "successors"),
-        (lcsg.stochastic, "successors"),
         (lcsg.stochastic, "normalize_weights"),
     ):
         monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("crossserial.grammar", 10), ("abc.grammar", 12), ("loop.grammar", 16)]
+)
+def test_exact_probabilities_expand_no_form_themselves(name, bound, monkeypatch):
+    want = exact_distribution(load_weighted(name), bound)
+    calls = count_calls(monkeypatch)
     wg = load_weighted(name)  # a fresh parse: its search runs under the patch
     assert exact_distribution(wg, bound) == want
+    # One call per form the one search expanded: the sweep adds none.
+    (reach,) = lcsg.derivation._compiled(wg.grammar).searches.values()
+    assert calls == ["_rewrites"] * len(reach.rewrites)
+    calls.clear()
     assert exact_distribution(wg, bound) == want  # and is then cached
     assert calls == []
+
+
+def test_the_sampler_lists_rewrites_once_per_step(loop, monkeypatch):
+    calls = count_calls(monkeypatch)
+    for seed in range(20):
+        sampled = sample_derivation(loop, seed, max_steps=5)
+        assert calls == ["_rewrites"] * len(sampled.trace.steps)
+        calls.clear()
 
 
 def test_empirical_frequencies_approach_exact_probabilities(loop):

@@ -1,13 +1,18 @@
-"""Exact probabilities from one sweep agree with the per-string oracle.
+"""Exact probabilities from one sweep agree with the per-string oracle, and
+the sampler agrees with inverse CDF sampling over ``normalize_weights``.
 
 ``stochastic_oracle`` holds the per-string ``exact_distribution`` and
 ``string_probability`` that re-explore the bounded form space for every
 string.  Where the oracle returns, the library must return the same support
 with every probability and the residual within 1e-12; where the oracle
-raises, the library must raise the same exception type.
+raises, the library must raise the same exception type.  Likewise
+``sample_derivation`` must take the very steps of ``reference_sample``, or
+raise the same exception type.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,9 +23,12 @@ from lcsg import (
     FuelExhaustedError,
     WeightedGrammar,
     exact_distribution,
+    normalize_weights,
     parse_grammar,
+    sample_derivation,
     string_probability,
 )
+from lcsg.symbols import SymbolString
 
 TOLERANCE = 1e-12
 
@@ -84,6 +92,8 @@ def test_a_support_shorter_than_the_bound_matches_the_oracle():
         ("S -> A A\nA -> a\nA -> _\n", 2),
         # a same-length cycle that traps its mass
         ("S -> A\nA -> B\nB -> A\nS -> a\n", 1),
+        # the same cycle, which only a sweep at the bound, 3, would reach
+        ("S -> a\nS -> b A\nA -> B\nB -> A\n", 3),
     ],
 )
 def test_edge_shapes_match_the_oracle(productions, bound):
@@ -210,3 +220,63 @@ def test_left_context_sensitive_grammars_match_the_oracle(closing, base, left_cs
 )
 def test_same_length_unit_cycles_match_the_oracle(closing, base, units, bound):
     assert_same_distribution(weighted(closing + base + units), bound)
+
+
+# --- sampling against inverse CDF over the public step distribution ---
+
+
+def reference_sample(wg: WeightedGrammar, seed: int, max_steps: int):
+    """One uniform draw per step, inverse CDF over ``normalize_weights``."""
+    rng = random.Random(seed)
+    form = SymbolString((wg.grammar.start,))
+    steps = []
+    while not form.is_all_terminal() and len(steps) < max_steps:
+        distribution = normalize_weights(wg, form)
+        u, cumulative, step = rng.random(), 0.0, distribution[-1][0]
+        for candidate, p in distribution:
+            cumulative += p
+            if u < cumulative:
+                step = candidate
+                break
+        steps.append(step)
+        form = step.after
+    return steps, not form.is_all_terminal()
+
+
+def assert_samples_like_the_reference(wg: WeightedGrammar) -> None:
+    for seed in range(200):
+        want = outcome(reference_sample, wg, seed, 40)
+        got = outcome(sample_derivation, wg, seed, 40)
+        if isinstance(want, type):
+            assert got is want, seed
+        else:
+            assert not isinstance(got, type), (seed, got)
+            assert (list(got.trace.steps), got.truncated) == want, seed
+
+
+@pytest.mark.parametrize(
+    "name", ["loop.grammar", "abc.grammar", "crossserial.grammar", "chain.grammar"]
+)
+def test_fixture_samples_follow_normalize_weights(name):
+    assert_samples_like_the_reference(load_weighted(name))
+
+
+@small
+@given(
+    parts=st.one_of(
+        st.tuples(closing_st(1), st.lists(production_st, min_size=1, max_size=4)),
+        st.tuples(closing_st(0), st.lists(linear_production_st, min_size=1, max_size=4)),
+        st.tuples(
+            closing_st(1),
+            st.lists(production_st, max_size=2),
+            st.lists(left_cs_production_st(), min_size=1, max_size=3),
+        ),
+        st.tuples(
+            closing_st(1, ("S",)),
+            st.lists(production_st, max_size=3),
+            st.lists(unit_production_st, min_size=2, max_size=4),
+        ),
+    )
+)
+def test_drawn_samples_follow_normalize_weights(parts):
+    assert_samples_like_the_reference(weighted([p for part in parts for p in part]))
