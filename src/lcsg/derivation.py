@@ -28,7 +28,13 @@ the first search it also holds the search profile.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
 repeated queries on one grammar object share a search, the exact
 probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  The view is freed with its grammar and is never pickled.
+again starts cold.  Beside them it keeps as many exact-probability sweeps,
+keyed by ``(bound, fuel, weights)``, each one float per terminal string of
+the search it read, so a repeated string probability is a look-up.  Both
+caches drop the least recently used entry first and keep nothing from a
+call that raises: a search that runs out of fuel returns and is kept, but
+a sweep over it raises and is not.  The view is freed with its grammar and
+is never pickled.
 
 For each form it reaches, a search keeps the :class:`DerivationStep` that
 first reached it, and the trace ``derives_bounded`` returns is the chain of
@@ -196,7 +202,9 @@ class _CompiledGrammar:
     production-index order.  ``nullable`` is ``_search_profile``'s set, or
     ``None`` until the first search computes it.  ``searches`` keeps the
     last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len,
-    fuel)`` and least recently used first.
+    fuel)`` and least recently used first.  ``sweeps`` keeps as many exact
+    probability sweeps of :mod:`lcsg.stochastic`, keyed by ``(bound, fuel,
+    weights)``: one float per terminal string of the search it read.
     """
 
     def __init__(self, g: Grammar) -> None:
@@ -206,6 +214,7 @@ class _CompiledGrammar:
             self.by_head.setdefault(p.lhs[0].name, []).append(entry)
         self.nullable: frozenset[Symbol] | None = None
         self.searches: dict[tuple[int, int], _Reachability] = {}
+        self.sweeps: dict[tuple[int, int, tuple[float, ...]], dict[SymbolString, float]] = {}
 
     def min_yield(self, form: SymbolString) -> int:
         """The fewest terminals ``form`` can derive."""
@@ -224,20 +233,30 @@ def _compiled(g: Grammar) -> _CompiledGrammar:
         return view
 
 
+def _make_room(cache: dict) -> None:
+    """Drop the least recently used entry of a full cache of a compiled view.
+
+    Each such cache holds at most ``_SEARCH_CACHE_SIZE`` entries.  Its users
+    pop an entry when they read it and store it again, so its first key is
+    the one least recently used; they store nothing from a call that raises.
+    """
+    if len(cache) >= _SEARCH_CACHE_SIZE:
+        del cache[next(iter(cache))]
+
+
 def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     """The search over forms whose minimal yield fits ``max_len``, cached on ``g``.
 
     Membership, enumeration and exact probabilities all read this one search.
+    A negative ``max_len`` or ``fuel`` raises ``ValueError`` when the search
+    would run, so a cached query checks nothing.
     """
     view = _compiled(g)
-    if view.nullable is None:
-        view.nullable = _search_profile(g)
     key = (max_len, fuel)
     reach = view.searches.pop(key, None)
     if reach is None:
         reach = _search(g, view, max_len, fuel)
-        if len(view.searches) >= _SEARCH_CACHE_SIZE:
-            del view.searches[next(iter(view.searches))]
+        _make_room(view.searches)
     view.searches[key] = reach
     return reach
 
@@ -246,6 +265,12 @@ _UNSEEN = object()  # parents.get's default: the form was not reached before
 
 
 def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    if fuel < 0:
+        raise ValueError("fuel must be >= 0")
+    if view.nullable is None:
+        view.nullable = _search_profile(g)
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, DerivationStep | None] = {initial: None}
     rewrites: list[tuple[tuple[int, SymbolString | None], ...]] = []

@@ -25,8 +25,13 @@ itself: it reads its forms, and the rewrites of each, from the grammar's
 cached bounded search, the one that also serves ``derives_bounded`` and
 ``enumerate_language``, and so shares that search's fuel and its 16-entry
 bound per grammar object.  The search also decides which rewrites leave
-the bound.  ``_renormalized`` is the one home of renormalization, for the
-sampler's steps and the sweep's edges alike.
+the bound.  The grammar's compiled view keeps the last 16 sweeps beside its
+searches, one per (bound, fuel, weights), so the first ``string_probability``
+per grammar object, weights and length pays for the whole bounded language
+and later ones at that length are look-ups; so is ``string_probability`` at
+the longest string of a support after ``exact_distribution``.
+``_renormalized`` is the one home of renormalization, for the sampler's
+steps and the sweep's edges alike.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .derivation import (
     FuelExhaustedError,
     _bounded_reachability,
     _compiled,
+    _make_room,
     _rewrites,
     enumerate_language,
 )
@@ -155,7 +161,12 @@ def normalize_weights(
 def sample_derivation(
     wg: WeightedGrammar, seed: int, max_steps: int = 1000
 ) -> SampledDerivation:
-    """Sample one derivation from the start symbol, seeded and deterministic."""
+    """Sample one derivation from the start symbol, seeded and deterministic.
+
+    A negative ``max_steps`` raises ``ValueError``.
+    """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
     g = wg.grammar
     form = SymbolString((g.start,))
@@ -177,6 +188,25 @@ def sample_derivation(
 
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
     """The absorbed mass of every terminal string of length at most ``bound``.
+
+    Each sweep that completes is kept on the grammar's compiled view, keyed
+    by ``(bound, fuel, wg.weights)``, beside the searches and under the same
+    bound: two weightings of one grammar never share a sweep.  Callers must
+    not change the dict returned.  A sweep that raises is not kept, so it
+    raises again on the next call.
+    """
+    sweeps = _compiled(wg.grammar).sweeps
+    key = (bound, fuel, wg.weights)
+    absorbed = sweeps.pop(key, None)
+    if absorbed is None:
+        absorbed = _sweep(wg, bound, fuel)
+        _make_room(sweeps)
+    sweeps[key] = absorbed
+    return absorbed
+
+
+def _sweep(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
+    """``_absorption``'s sweep, run afresh.
 
     The sweep reads its forms and their rewrites from the grammar's cached
     bounded search, :func:`lcsg.derivation._bounded_reachability`, and
@@ -257,7 +287,11 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
 def string_probability(
     wg: WeightedGrammar, w: SymbolString, fuel: int = DEFAULT_FUEL
 ) -> float:
-    """Exact probability of deriving the terminal string ``w``."""
+    """Exact probability of deriving the terminal string ``w``.
+
+    The first call per grammar object, weights and ``len(w)`` sweeps the whole
+    bounded language up to ``len(w)``; later calls read that kept sweep.
+    """
     if not w.is_all_terminal():
         raise ValueError(f"string must contain only terminals: {w}")
     return _absorption(wg, len(w), fuel).get(w, 0.0)

@@ -147,6 +147,21 @@ def test_sample_truncation_exhausts(tmp_path, capsys):
     assert "truncated" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "-g", LOOP, "--max-len", "-2"],
+        ["sample", "-g", LOOP, "--seed", "0", "--max-steps", "-1"],
+        ["member", "-g", LOOP, "-w", "b", "--fuel", "-1"],
+    ],
+)
+def test_negative_bounds_steps_and_fuel_are_usage_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be >= 0" in err
+
+
 def test_sample_names_the_first_nonterminal_without_weight_at_every_hash_seed(tmp_path):
     f = tmp_path / "zero.grammar"
     f.write_text(

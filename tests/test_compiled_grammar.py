@@ -1,9 +1,10 @@
-"""The compiled view a grammar holds, its bounded search cache, and pickling.
+"""The compiled view a grammar holds, its search and sweep caches, and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
-``_SEARCH_CACHE_SIZE`` searches, until the grammar itself is freed.  Caches
-never travel in a pickle: str hashes differ between processes, and a parent
-map can hold ``DEFAULT_FUEL`` forms and more.
+``_SEARCH_CACHE_SIZE`` searches and as many exact-probability sweeps, until
+the grammar itself is freed.  Caches never travel in a pickle: str hashes
+differ between processes, and a parent map can hold ``DEFAULT_FUEL`` forms
+and more.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from conftest import load_grammar
 from lcsg import (
+    FuelExhaustedError,
     SymbolString,
     WeightedGrammar,
     enumerate_language,
@@ -39,6 +41,7 @@ def test_the_view_is_built_on_first_use_not_at_parse():
     assert view is _compiled(g)
     assert view.nullable is None  # successors needs no search profile
     assert view.searches == {}
+    assert view.sweeps == {}
 
 
 def test_the_index_groups_productions_by_lhs_head_in_index_order(abc):
@@ -58,6 +61,58 @@ def test_the_cache_keeps_at_most_its_bound():
 
 
 THREE_WORDS = "start: S\nterminals: a b c\nnonterminals: S\nS -> a\nS -> b\nS -> c\n"
+A_PLUS = "start: S\nterminals: a\nnonterminals: S\nS -> a S\nS -> a\n"
+
+
+def test_the_sweeps_keep_at_most_their_bound_least_recently_used_first():
+    wg = WeightedGrammar.from_grammar(parse_grammar(A_PLUS))
+    size = _SEARCH_CACHE_SIZE
+    for n in range(1, size + 1):
+        string_probability(wg, wg.grammar.string_of(["a"] * n))
+    string_probability(wg, wg.grammar.string_of(["a"]))  # a hit: length 1 is most recent
+    for n in range(size + 1, size + 4):
+        string_probability(wg, wg.grammar.string_of(["a"] * n))
+    kept = [*range(5, size + 1), 1, *range(size + 1, size + 4)]
+    assert list(_compiled(wg.grammar).sweeps) == [(n, DEFAULT_FUEL, wg.weights) for n in kept]
+    assert len(kept) == size
+
+
+def test_two_weightings_of_one_grammar_never_share_a_sweep():
+    g = parse_grammar(THREE_WORDS)
+    even = WeightedGrammar.from_grammar(g)
+    skewed = WeightedGrammar(g, (2.0, 1.0, 1.0))
+    a = g.string_of(["a"])
+    assert string_probability(even, a) == 1 / 3
+    assert string_probability(skewed, a) == 0.5
+    assert string_probability(even, a) == 1 / 3
+    assert list(_compiled(g).sweeps) == [
+        (1, DEFAULT_FUEL, skewed.weights),
+        (1, DEFAULT_FUEL, even.weights),
+    ]
+    assert list(_compiled(g).searches) == [(1, DEFAULT_FUEL)]  # the search is shared
+
+
+ONE_WORD = "start: S\nterminals: a\nnonterminals: S\nS -> a\n"
+ERASING = "start: S\nterminals: a\nnonterminals: S A\nS -> A A\nA -> a\nA -> _\n"
+TRAPPED = "start: S\nterminals: a\nnonterminals: S A B\nS -> A\nA -> B\nB -> A\nS -> a\n"
+
+
+@pytest.mark.parametrize(
+    "text, fuel, error",
+    [
+        (ONE_WORD, 0, FuelExhaustedError),
+        (ERASING, DEFAULT_FUEL, ValueError),
+        (TRAPPED, DEFAULT_FUEL, ValueError),
+    ],
+    ids=["fuel", "erasure", "trapped"],
+)
+def test_a_sweep_that_raises_is_not_kept(text, fuel, error):
+    wg = WeightedGrammar.from_grammar(parse_grammar(text))
+    w = wg.grammar.string_of(["a"])
+    for _ in range(2):
+        with pytest.raises(error):
+            string_probability(wg, w, fuel)
+        assert _compiled(wg.grammar).sweeps == {}
 
 
 def test_a_completed_search_keeps_at_most_fuel_forms():
@@ -112,8 +167,11 @@ def test_enumeration_and_exact_probabilities_share_one_search():
 def test_the_cache_is_freed_with_its_grammar():
     g = load_grammar("abc.grammar")
     enumerate_language(g, 9)
+    wg = WeightedGrammar.from_grammar(g)
+    assert string_probability(wg, g.string_of("a a b b c c".split())) > 0.0
+    assert len(_compiled(g).sweeps) == 1
     ref = weakref.ref(g)
-    del g
+    del g, wg
     gc.collect()
     assert ref() is None
 
@@ -121,14 +179,21 @@ def test_the_cache_is_freed_with_its_grammar():
 def test_a_searched_grammar_pickles_without_its_caches():
     g = load_grammar("abc.grammar")
     blob_before = pickle.dumps(g)
+    wg = WeightedGrammar.from_grammar(g)
+    wg_blob_before = pickle.dumps(wg)
+    w = g.string_of("a a b b c c".split())
+    p = string_probability(wg, w)
     enumerate_language(g, 9)
     assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].parents) > 30
+    assert list(_compiled(g).sweeps) == [(6, DEFAULT_FUEL, wg.weights)]
     blob = pickle.dumps(g)
     assert len(blob) == len(blob_before)
+    assert len(pickle.dumps(wg)) == len(wg_blob_before)
     restored = pickle.loads(blob)
     assert restored == g
     assert "_compiled" not in restored.__dict__
     assert enumerate_language(restored, 9) == enumerate_language(g, 9)
+    assert string_probability(WeightedGrammar.from_grammar(restored), w) == p
 
 
 _PICKLE_A_HASHED_STRING = """

@@ -220,6 +220,19 @@ def test_fuel_exhaustion_is_distinct_from_negative(abc):
         derives_bounded(abc, abc.string_of(["a", "b", "c"]), fuel=1)
 
 
+def test_negative_bounds_and_fuel_are_refused(abc):
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_language(abc, -1)
+    with pytest.raises(ValueError, match="fuel"):
+        enumerate_language(abc, 3, fuel=-1)
+    with pytest.raises(ValueError, match="fuel"):
+        derives_bounded(abc, abc.string_of(["a", "b", "c"]), fuel=-1)
+    # Zero stays valid: the empty bound, and fuel that expands nothing.
+    assert enumerate_language(abc, 0) == set()
+    with pytest.raises(FuelExhaustedError):
+        derives_bounded(abc, abc.string_of(["a", "b", "c"]), fuel=0)
+
+
 def test_unhandled_contraction_is_rejected():
     g = Grammar(
         frozenset({A, B}),

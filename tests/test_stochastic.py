@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lcsg.derivation
@@ -13,6 +14,7 @@ import lcsg.stochastic
 from lcsg import (
     BoundMismatchError,
     DeadEndError,
+    FuelExhaustedError,
     StringDistribution,
     WeightedGrammar,
     ZeroMassError,
@@ -268,9 +270,15 @@ def test_total_variation_is_identical_across_hash_seeds():
 
 _EXACT_DISTRIBUTIONS = """
 import sys
-from lcsg import WeightedGrammar, exact_distribution, parse_grammar
+from lcsg import WeightedGrammar, exact_distribution, parse_grammar, string_probability
 for text, bound in ((open(sys.argv[1]).read(), 8), (sys.argv[2], 1)):
-    print(repr(exact_distribution(WeightedGrammar.from_grammar(parse_grammar(text)), bound)))
+    wg = WeightedGrammar.from_grammar(parse_grammar(text))
+    print(repr(exact_distribution(wg, bound)))
+    if bound == 8:
+        crossserial = wg
+# Two strings of one length below the support's longest: a sweep, then a look-up.
+for word in ("a a b c c d", "a b b c d d"):
+    print(repr(string_probability(crossserial, crossserial.grammar.string_of(word.split()))))
 """
 
 
@@ -279,9 +287,11 @@ def test_exact_distributions_are_identical_across_hash_seeds():
         _EXACT_DISTRIBUTIONS, str(DATA / "crossserial.grammar"), UNIT_CYCLE
     )
     assert len(outputs) == 1, outputs
-    crossserial, unit_cycle = outputs.pop().splitlines()
+    crossserial, unit_cycle, first, second = outputs.pop().splitlines()
     assert "<a b c d>: 0.25" in crossserial
     assert "{<a>: 1.0}" in unit_cycle
+    assert f"<a a b c c d>: {first}" in crossserial
+    assert f"<a b b c d d>: {second}" in crossserial
 
 
 def count_calls(monkeypatch) -> list[str]:
@@ -320,6 +330,68 @@ def test_exact_probabilities_expand_no_form_themselves(name, bound, monkeypatch)
     calls.clear()
     assert exact_distribution(wg, bound) == want  # and is then cached
     assert calls == []
+
+
+# A same-length cycle between A and B, so that each sweep makes one solve.
+TWO_IN_A_CYCLE = (
+    "start: S\nterminals: a b\nnonterminals: S A B\n"
+    "S -> A\nA -> B\nB -> A\nA -> a\nB -> b\nS -> a b\n"
+)
+
+
+def count_calls_and_solves(monkeypatch) -> list[str]:
+    """``count_calls``, which also counts ``numpy.linalg.solve`` as "solve"."""
+    calls = count_calls(monkeypatch)
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_a_repeated_length_is_a_look_up(monkeypatch):
+    calls = count_calls_and_solves(monkeypatch)
+    wg = wg_from(TWO_IN_A_CYCLE)
+    a, b = (wg.grammar.string_of([x]) for x in "ab")
+    p_a = string_probability(wg, a)
+    assert calls.count("solve") == 1
+    assert "_rewrites" in calls
+    calls.clear()
+    p_b = string_probability(wg, b)
+    assert string_probability(wg, a) == p_a
+    assert calls == []
+    assert p_a + p_b == pytest.approx(0.5, abs=1e-12)
+
+
+def test_the_longest_string_after_exact_distribution_is_a_look_up(monkeypatch):
+    calls = count_calls_and_solves(monkeypatch)
+    wg = wg_from(TWO_IN_A_CYCLE)
+    d = exact_distribution(wg, 4)  # the longest string of the support has length 2
+    ab = wg.grammar.string_of(["a", "b"])
+    assert max(len(w) for w in d.probabilities) == len(ab)
+    calls.clear()
+    assert string_probability(wg, ab) == d.probabilities[ab] == 0.5
+    assert calls == []
+
+
+def test_negative_bounds_and_step_limits_are_refused(loop):
+    b = loop.grammar.string_of(["b"])
+    with pytest.raises(ValueError, match="max_steps"):
+        sample_derivation(loop, 0, max_steps=-1)
+    with pytest.raises(ValueError, match="max_len"):
+        exact_distribution(loop, -1)
+    with pytest.raises(ValueError, match="fuel"):
+        string_probability(loop, b, fuel=-1)
+    with pytest.raises(ValueError, match="fuel"):
+        exact_distribution(loop, 2, fuel=-1)
+    # Zero stays valid.
+    assert sample_derivation(loop, 0, max_steps=0).truncated
+    assert exact_distribution(loop, 0).probabilities == {}
+    with pytest.raises(FuelExhaustedError):
+        string_probability(loop, b, fuel=0)
 
 
 def test_the_sampler_lists_rewrites_once_per_step(loop, monkeypatch):

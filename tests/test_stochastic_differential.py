@@ -1,17 +1,21 @@
-"""Exact probabilities from one sweep agree with the per-string oracle, and
-the sampler agrees with inverse CDF sampling over ``normalize_weights``.
+"""Exact probabilities from one sweep agree with the per-string oracle, a
+kept sweep agrees with a cold one, and the sampler agrees with inverse CDF
+sampling over ``normalize_weights``.
 
 ``stochastic_oracle`` holds the per-string ``exact_distribution`` and
 ``string_probability`` that re-explore the bounded form space for every
 string.  Where the oracle returns, the library must return the same support
 with every probability and the residual within 1e-12; where the oracle
-raises, the library must raise the same exception type.  Likewise
+raises, the library must raise the same exception type.  A
+``string_probability`` read from a sweep kept on the grammar must equal,
+bit for bit, the one a fresh parse computes cold.  Likewise
 ``sample_derivation`` must take the very steps of ``reference_sample``, or
 raise the same exception type.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -222,6 +226,45 @@ def test_same_length_unit_cycles_match_the_oracle(closing, base, units, bound):
     assert_same_distribution(weighted(closing + base + units), bound)
 
 
+# Every shape above, as the lists of productions that make one grammar.
+grammar_parts_st = st.one_of(
+    st.tuples(closing_st(1), st.lists(production_st, min_size=1, max_size=4)),
+    st.tuples(closing_st(0), st.lists(linear_production_st, min_size=1, max_size=4)),
+    st.tuples(
+        closing_st(1),
+        st.lists(production_st, max_size=2),
+        st.lists(left_cs_production_st(), min_size=1, max_size=3),
+    ),
+    st.tuples(
+        closing_st(1, ("S",)),
+        st.lists(production_st, max_size=3),
+        st.lists(unit_production_st, min_size=2, max_size=4),
+    ),
+)
+
+
+def bits(result):
+    """A float as its exact bits; an exception type as itself."""
+    return result.hex() if isinstance(result, float) else result
+
+
+@small
+@given(parts=grammar_parts_st, bound=bound_st, data=st.data())
+def test_kept_sweeps_give_the_cold_probabilities_bit_for_bit(parts, bound, data):
+    # Every string over the terminals up to the bound, so that most lengths
+    # are read more than once; the support is among them.
+    productions = [p for part in parts for p in part]
+    wg = weighted(productions)  # one grammar object for every call below
+    words = [
+        wg.grammar.string_of(names)
+        for n in range(bound + 1)
+        for names in itertools.product(TERMINALS, repeat=n)
+    ]
+    for w in data.draw(st.permutations(words)):
+        cold = outcome(string_probability, weighted(productions), w)
+        assert bits(outcome(string_probability, wg, w)) == bits(cold), w
+
+
 # --- sampling against inverse CDF over the public step distribution ---
 
 
@@ -262,21 +305,6 @@ def test_fixture_samples_follow_normalize_weights(name):
 
 
 @small
-@given(
-    parts=st.one_of(
-        st.tuples(closing_st(1), st.lists(production_st, min_size=1, max_size=4)),
-        st.tuples(closing_st(0), st.lists(linear_production_st, min_size=1, max_size=4)),
-        st.tuples(
-            closing_st(1),
-            st.lists(production_st, max_size=2),
-            st.lists(left_cs_production_st(), min_size=1, max_size=3),
-        ),
-        st.tuples(
-            closing_st(1, ("S",)),
-            st.lists(production_st, max_size=3),
-            st.lists(unit_production_st, min_size=2, max_size=4),
-        ),
-    )
-)
+@given(parts=grammar_parts_st)
 def test_drawn_samples_follow_normalize_weights(parts):
     assert_samples_like_the_reference(weighted([p for part in parts for p in part]))
