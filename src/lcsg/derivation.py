@@ -3,8 +3,8 @@
 ``apply_step`` rewrites a single window of a sentential form.  ``_rewrites``
 is the one loop that lists every one-step rewrite of a form, in (position,
 production index) lexicographic order, which fixes the exploration order
-everywhere else.  ``successors`` wraps each rewrite in a
-:class:`DerivationStep`; the bounded search and the sampler read them bare.
+everywhere else.  Each is a bare ``(index, position, symbols)`` tuple, which
+``successors`` wraps, the search only if kept, the sampler only if drawn.
 
 ``derives_bounded`` and ``enumerate_language`` run a breadth-first search
 over sentential forms whose minimal terminal yield stays within the length
@@ -22,7 +22,7 @@ outcome from a definitive "not derivable".
 
 Each ``Grammar`` is compiled once, on first use, into a view that the
 grammar instance itself holds (:func:`_compiled`).  It groups the
-productions by the first symbol of their lhs, so ``_rewrites`` tries at
+productions by the first ``Symbol`` of their lhs, so ``_rewrites`` tries at
 each position only the productions that start with the symbol there.  On
 the first search it also holds the search profile.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
@@ -125,25 +125,28 @@ def apply_step(w: SymbolString, p: Production, position: int) -> SymbolString:
     return w[:position] + p.rhs + w[position + len(p.lhs):]
 
 
-def _rewrites(form: SymbolString, by_head: dict) -> list[tuple[int, int, SymbolString]]:
-    """Every one-step rewrite of ``form``, as (production index, position,
-    after), in successor order; ``by_head`` is the compiled grammar's."""
-    symbols = form.symbols
-    out: list[tuple[int, int, SymbolString]] = []
+def _rewrites(symbols: tuple[Symbol, ...], by_head: dict) -> list[tuple[int, int, tuple]]:
+    """Every one-step rewrite of the form ``symbols``, as (production index,
+    position, after), in successor order; ``after`` is a bare symbol tuple."""
+    out: list[tuple[int, int, tuple]] = []
     for position, head in enumerate(symbols):
-        for index, lhs, rhs in by_head.get(head.name, ()):
-            # The whole-tuple comparison also tells kinds apart under one
-            # name, and a window cut short by the end never matches.
-            end = position + len(lhs)
-            if symbols[position:end] == lhs:
-                after = SymbolString._of(symbols[:position] + rhs + symbols[end:])
-                out.append((index, position, after))
+        for index, width, second, rest, rhs in by_head.get(head, ()):
+            # Interned symbols: ``is`` tells kinds apart; a cut-short window never matches.
+            end = position + width
+            if second is None or (
+                end <= len(symbols) and symbols[position + 1] is second
+                and (not rest or symbols[position + 2:end] == rest)
+            ):
+                out.append((index, position, symbols[:position] + rhs + symbols[end:]))
     return out
 
 
 def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
     """All one-step rewrites of ``w``, ordered by (position, production index)."""
-    return [DerivationStep(w, *rewrite) for rewrite in _rewrites(w, _compiled(g).by_head)]
+    return [
+        DerivationStep(w, index, position, SymbolString._of(after))
+        for index, position, after in _rewrites(w.symbols, _compiled(g).by_head)
+    ]
 
 
 def _nullable_closure(g: Grammar) -> frozenset[Symbol]:
@@ -197,30 +200,31 @@ class _Reachability:
 class _CompiledGrammar:
     """What rewriting and the bounded search need of one grammar.
 
-    ``by_head`` maps the name of each lhs's first symbol to the productions
-    whose lhs starts with it, as ``(index, lhs, rhs)`` symbol tuples in
-    production-index order.  ``nullable`` is ``_search_profile``'s set, or
-    ``None`` until the first search computes it.  ``searches`` keeps the
-    last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len,
-    fuel)`` and least recently used first.  ``sweeps`` keeps as many exact
+    ``by_head`` maps each lhs's first ``Symbol``, an interned key that keeps
+    kinds apart, to the productions whose lhs starts with it, in index
+    order, as ``(index, lhs length, second lhs symbol or None, lhs[2:],
+    rhs)``.  ``nullable`` is ``_search_profile``'s set, or ``None`` until the
+    first search computes it.  ``searches`` keeps the last
+    ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len, fuel)``
+    and least recently used first.  ``sweeps`` keeps as many exact
     probability sweeps of :mod:`lcsg.stochastic`, keyed by ``(bound, fuel,
     weights)``: one float per terminal string of the search it read.
     """
 
     def __init__(self, g: Grammar) -> None:
-        self.by_head: dict[str, list[tuple[int, tuple[Symbol, ...], tuple[Symbol, ...]]]] = {}
+        self.by_head: dict[Symbol, list[tuple]] = {}
         for index, p in enumerate(g.productions):
-            entry = (index, p.lhs.symbols, p.rhs.symbols)
-            self.by_head.setdefault(p.lhs[0].name, []).append(entry)
+            lhs = p.lhs.symbols
+            second = lhs[1] if len(lhs) > 1 else None
+            entry = (index, len(lhs), second, lhs[2:], p.rhs.symbols)
+            self.by_head.setdefault(lhs[0], []).append(entry)
         self.nullable: frozenset[Symbol] | None = None
         self.searches: dict[tuple[int, int], _Reachability] = {}
         self.sweeps: dict[tuple[int, int, tuple[float, ...]], dict[SymbolString, float]] = {}
 
-    def min_yield(self, form: SymbolString) -> int:
-        """The fewest terminals ``form`` can derive."""
-        if not self.nullable:
-            return len(form)
-        return sum(1 for s in form.symbols if s not in self.nullable)
+    def min_yield(self, symbols: tuple[Symbol, ...]) -> int:
+        """The fewest terminals the form ``symbols`` can derive."""
+        return sum(s not in self.nullable for s in symbols) if self.nullable else len(symbols)
 
 
 def _compiled(g: Grammar) -> _CompiledGrammar:
@@ -261,9 +265,6 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     return reach
 
 
-_UNSEEN = object()  # parents.get's default: the form was not reached before
-
-
 def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -273,6 +274,8 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         view.nullable = _search_profile(g)
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, DerivationStep | None] = {initial: None}
+    # The symbols of each form reached -> the one object that stands for it.
+    kept: dict[tuple[Symbol, ...], SymbolString] = {initial.symbols: initial}
     rewrites: list[tuple[tuple[int, SymbolString | None], ...]] = []
     frontier: deque[SymbolString] = deque([initial])
     while frontier:
@@ -280,20 +283,13 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
             return _Reachability(parents, rewrites, completed=False)
         form = frontier.popleft()
         out: list[tuple[int, SymbolString | None]] = []
-        for index, position, after in _rewrites(form, view.by_head):
-            first = parents.get(after, _UNSEEN)
-            # A form reached before is recorded as the map's own key,
-            # which the step that first reached it holds too.
-            if first is None:
-                after = initial
-            elif first is not _UNSEEN:
-                after = first.after
-            elif view.min_yield(after) <= max_len:
+        for index, position, symbols in _rewrites(form.symbols, view.by_head):
+            after = kept.get(symbols)
+            if after is None and view.min_yield(symbols) <= max_len:
+                after = kept[symbols] = SymbolString._of(symbols)
                 parents[after] = DerivationStep(form, index, position, after)
                 frontier.append(after)
-            else:
-                after = None  # the rewrite leaves the bound
-            out.append((index, after))
+            out.append((index, after))  # None: the rewrite leaves the bound
         rewrites.append(tuple(out))
     return _Reachability(parents, rewrites, completed=True)
 

@@ -8,8 +8,8 @@ Sampling is reproducible by construction: the generator is ``random.Random``
 (MT19937), seeded explicitly, consuming exactly one uniform draw per
 derivation step, and the step is chosen by inverse CDF over the successor
 order of :func:`lcsg.derivation.successors`, though the sampler builds a
-:class:`DerivationStep` only for the rewrite it draws.  Identical seeds
-therefore yield identical traces on every platform.
+``SymbolString`` and a :class:`DerivationStep` only for the rewrite it
+draws.  Identical seeds therefore yield identical traces on every platform.
 
 ``string_probability`` computes the exact total probability of a terminal
 string: the sum over all complete derivations of the product of step
@@ -140,7 +140,7 @@ def _renormalized(items: list, raw: list[float]) -> list[tuple]:
 
 def _step_distribution(wg: WeightedGrammar, form: SymbolString) -> list[tuple[tuple, float]]:
     """``form``'s rewrites (index, position, after) renormalized, in successor order."""
-    rewrites = _rewrites(form, _compiled(wg.grammar).by_head)
+    rewrites = _rewrites(form.symbols, _compiled(wg.grammar).by_head)
     if not rewrites:
         if form.is_all_terminal():
             raise ValueError(f"form is all-terminal, no steps apply: {form}")
@@ -155,7 +155,10 @@ def normalize_weights(
     wg: WeightedGrammar, form: SymbolString
 ) -> list[tuple[DerivationStep, float]]:
     """The renormalized step distribution at ``form``, in successor order."""
-    return [(DerivationStep(form, *rewrite), p) for rewrite, p in _step_distribution(wg, form)]
+    return [
+        (DerivationStep(form, index, position, SymbolString._of(after)), p)
+        for (index, position, after), p in _step_distribution(wg, form)
+    ]
 
 
 def sample_derivation(
@@ -181,7 +184,8 @@ def sample_derivation(
             if u < cumulative:
                 chosen = rewrite
                 break
-        steps.append(DerivationStep(form, *chosen))
+        index, position, after = chosen
+        steps.append(DerivationStep(form, index, position, SymbolString._of(after)))
         form = steps[-1].after
     return SampledDerivation(DerivationTrace(g, tuple(steps)), not form.is_all_terminal())
 

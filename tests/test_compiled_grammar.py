@@ -1,4 +1,5 @@
-"""The compiled view a grammar holds, its search and sweep caches, and pickling.
+"""The compiled view a grammar holds, the strings a search and the sampler
+wrap, its search and sweep caches, and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches and as many exact-probability sweeps, until
@@ -26,6 +27,7 @@ from lcsg import (
     enumerate_language,
     nonterminal,
     parse_grammar,
+    sample_derivation,
     string_probability,
     successors,
     terminal,
@@ -46,7 +48,7 @@ def test_the_view_is_built_on_first_use_not_at_parse():
 
 def test_the_index_groups_productions_by_lhs_head_in_index_order(abc):
     view = _compiled(abc)
-    assert {name: [i for i, _, _ in entries] for name, entries in view.by_head.items()} == {
+    assert {head.name: [e[0] for e in entries] for head, entries in view.by_head.items()} == {
         "S": [0, 1], "C": [2], "a": [3], "b": [4, 5], "c": [6],
     }
 
@@ -62,6 +64,37 @@ def test_the_cache_keeps_at_most_its_bound():
 
 THREE_WORDS = "start: S\nterminals: a b c\nnonterminals: S\nS -> a\nS -> b\nS -> c\n"
 A_PLUS = "start: S\nterminals: a\nnonterminals: S\nS -> a S\nS -> a\n"
+
+
+def count_wraps(monkeypatch) -> list[tuple]:
+    """Patch ``SymbolString._of``; return the list of the tuples it wraps."""
+    wrapped: list[tuple] = []
+    of = SymbolString._of
+
+    def counted(cls, symbols):
+        wrapped.append(symbols)
+        return of(symbols)
+
+    monkeypatch.setattr(SymbolString, "_of", classmethod(counted))
+    return wrapped
+
+
+def test_a_cold_search_wraps_only_the_forms_it_keeps(monkeypatch):
+    g = load_grammar("crossserial.grammar")
+    wrapped = count_wraps(monkeypatch)
+    reach = _bounded_reachability(g, 10, DEFAULT_FUEL)
+    # One per kept form but the start form, which is built checked.
+    assert len(wrapped) == len(reach.parents) - 1
+    assert sum(len(rewrites) for rewrites in reach.rewrites) > len(wrapped)
+
+
+def test_the_sampler_wraps_only_the_steps_it_draws(monkeypatch):
+    wg = WeightedGrammar.from_grammar(parse_grammar(A_PLUS))  # two rewrites per form
+    wrapped = count_wraps(monkeypatch)
+    for seed in range(10):
+        sampled = sample_derivation(wg, seed, max_steps=40)
+        assert len(wrapped) == len(sampled.trace.steps) > 0
+        wrapped.clear()
 
 
 def test_the_sweeps_keep_at_most_their_bound_least_recently_used_first():

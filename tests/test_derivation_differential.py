@@ -123,7 +123,8 @@ def test_a_form_shorter_than_every_lhs_has_no_successors():
 
 
 def test_a_terminal_and_a_nonterminal_of_one_name_stay_apart():
-    # The index is keyed by name; the full lhs comparison tells the kinds apart.
+    # The index is keyed by the interned head symbol and the rest of the lhs
+    # is compared by identity, so the kinds stay apart under one name.
     x_t, x_n, S = terminal("x"), nonterminal("x"), nonterminal("S")
     g = Grammar(
         frozenset({S, x_n}),
@@ -138,6 +139,69 @@ def test_a_terminal_and_a_nonterminal_of_one_name_stay_apart():
     for combo in itertools.product((x_t, x_n, S), repeat=3):
         assert_same_successors(SymbolString(combo), g)
     assert [s.production_index for s in successors(SymbolString((x_t, x_n)), g)] == [2, 1]
+
+
+# --- the head-symbol index: strangers, kinds at the end, long left sides ---
+
+
+def shaped(productions: list[tuple[str, str]]) -> Grammar:
+    return grammar([(lhs.split(), rhs.split()) for lhs, rhs in productions])
+
+
+def test_forms_with_undeclared_symbols_match_the_oracle():
+    # Symbols the grammar never declares, two of them a declared name of the
+    # other kind, sit at heads, second positions and inside long windows.
+    g = shaped([("S", "a B"), ("a B", "a b"), ("S A B", "a b b"), ("B", "b")])
+    declared = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    strangers = [terminal("z"), nonterminal("Z"), nonterminal("a"), terminal("B")]
+    for n in range(4):
+        for combo in itertools.product(declared + strangers, repeat=n):
+            assert_same_successors(SymbolString(combo), g)
+    form = SymbolString((nonterminal("S"), nonterminal("A"), terminal("B")))
+    assert [s.production_index for s in successors(form, g)] == [0]
+
+
+def test_a_same_name_pair_ending_the_form_matches_the_oracle():
+    # The second lhs symbol, one name in either kind, is the form's last.
+    x_t, x_n, S = terminal("x"), nonterminal("x"), nonterminal("S")
+    g = Grammar(
+        frozenset({S, x_n}),
+        frozenset({x_t}),
+        S,
+        (
+            Production(SymbolString((S,)), SymbolString((x_t, x_n))),
+            Production(SymbolString((x_t, x_n)), SymbolString((x_t, x_t))),
+            Production(SymbolString((x_n, x_t)), SymbolString((x_t, x_t))),
+        ),
+    )
+    for n in range(3):
+        for prefix in itertools.product((x_t, x_n, S), repeat=n):
+            for end in [(x_t,), (x_n,), *itertools.product((x_t, x_n), repeat=2)]:
+                assert_same_successors(SymbolString(prefix + end), g)
+    expected = {(x_t, x_n): [0, 1], (x_n, x_t): [0, 2], (x_t, x_t): [0], (x_n, x_n): [0]}
+    for end, indices in expected.items():
+        steps = successors(SymbolString((S, *end)), g)
+        assert [s.production_index for s in steps] == indices
+
+
+def test_a_four_symbol_left_side_matches_the_oracle():
+    # Three left sides share their first two symbols and differ in lhs[2:].
+    g = shaped([
+        ("S", "a A B b"),
+        ("a A B b", "a b b b"),
+        ("a A B a", "a a a a"),
+        ("a A A b", "b b b b"),
+        ("A", "a"),
+        ("B", "b"),
+    ])
+    alphabet = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for n in range(6):
+        for combo in itertools.product(alphabet, repeat=n):
+            assert_same_successors(SymbolString(combo), g)
+    for max_len in range(7):
+        assert_same_search(g, max_len)
+    steps = successors(g.string_of("a A B b".split()), g)
+    assert [(s.production_index, s.position) for s in steps] == [(1, 0), (4, 1), (5, 2)]
 
 
 # --- the fixtures: enumeration and derivation traces too ---
