@@ -38,21 +38,23 @@ is never pickled.
 
 For each form it reaches, a search keeps the :class:`DerivationStep` that
 first reached it, and the trace ``derives_bounded`` returns is the chain of
-those steps back to the start form.  For each form it expands, it also
-records every rewrite in successor order, as the production index and the
-child: the very form object the search keeps, or ``None`` where the child
-leaves the bound.  Exact probabilities read their edges from this record
-and expand no form themselves.  A search expands at most ``fuel`` forms,
-so a completed search keeps at most ``fuel`` forms; one that runs out of
-fuel also keeps the forms it reached but did not expand, up to ``fuel``
-times the largest number of rewrites of one form, plus one.  Either way it
-records at most ``fuel`` times that number of rewrites, each a pair of an
-index and a reference, with no form of its own.
+those steps back to the start form.  Each form it reaches has an id: its
+place in breadth-first order, which is the order of those parent links.
+For each form it expands, the search also records every rewrite in
+successor order, as the production index and the child's id, or ``None``
+where the child leaves the bound.  Exact probabilities read their edges
+from this record as a graph over ids; they expand no form themselves and
+look a form up only for the terminal strings they absorb.  A search
+expands at most ``fuel`` forms, so a completed search keeps at most
+``fuel`` forms; one that runs out of fuel also keeps the forms it reached
+but did not expand, up to ``fuel`` times the largest number of rewrites of
+one form, plus one.  Either way it records at most ``fuel`` times that
+number of rewrites, each a pair of an index and an id, with no form of its
+own.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .grammar import Grammar, Production, validate_grammar
@@ -190,10 +192,11 @@ class _Reachability:
     # Each form the search reached -> the step that first reached it, None
     # for the start form; a trace is the chain of these steps back to it.
     parents: dict[SymbolString, DerivationStep | None]
-    # The rewrites of the i-th expanded form, which is the i-th key of
-    # ``parents``, in successor order: (production index, the child as
-    # ``parents``' own key, or None where the child leaves the bound).
-    rewrites: list[tuple[tuple[int, SymbolString | None], ...]]
+    # A form's id is its place in breadth-first order, the order of
+    # ``parents``' keys.  The rewrites of the form with id i, in successor
+    # order: (production index, the child's id, or None where the child
+    # leaves the bound).
+    rewrites: list[tuple[tuple[int, int | None], ...]]
     completed: bool
 
 
@@ -274,22 +277,25 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         view.nullable = _search_profile(g)
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, DerivationStep | None] = {initial: None}
-    # The symbols of each form reached -> the one object that stands for it.
-    kept: dict[tuple[Symbol, ...], SymbolString] = {initial.symbols: initial}
-    rewrites: list[tuple[tuple[int, SymbolString | None], ...]] = []
-    frontier: deque[SymbolString] = deque([initial])
-    while frontier:
+    # The forms reached in breadth-first order, so a form's place is its id,
+    # and the symbols of each -> that id.  The form to expand next is the
+    # one whose id is the number of forms expanded so far.
+    forms: list[SymbolString] = [initial]
+    kept: dict[tuple[Symbol, ...], int] = {initial.symbols: 0}
+    rewrites: list[tuple[tuple[int, int | None], ...]] = []
+    while len(rewrites) < len(forms):
         if len(rewrites) >= fuel:
             return _Reachability(parents, rewrites, completed=False)
-        form = frontier.popleft()
-        out: list[tuple[int, SymbolString | None]] = []
+        form = forms[len(rewrites)]
+        out: list[tuple[int, int | None]] = []
         for index, position, symbols in _rewrites(form.symbols, view.by_head):
-            after = kept.get(symbols)
-            if after is None and view.min_yield(symbols) <= max_len:
-                after = kept[symbols] = SymbolString._of(symbols)
+            child = kept.get(symbols)
+            if child is None and view.min_yield(symbols) <= max_len:
+                child = kept[symbols] = len(forms)
+                after = SymbolString._of(symbols)
                 parents[after] = DerivationStep(form, index, position, after)
-                frontier.append(after)
-            out.append((index, after))  # None: the rewrite leaves the bound
+                forms.append(after)
+            out.append((index, child))  # None: the rewrite leaves the bound
         rewrites.append(tuple(out))
     return _Reachability(parents, rewrites, completed=True)
 

@@ -14,12 +14,18 @@ draws.  Identical seeds therefore yield identical traces on every platform.
 ``string_probability`` computes the exact total probability of a terminal
 string: the sum over all complete derivations of the product of step
 probabilities.  The computation sweeps reachable forms in increasing length
-order; probability mass that cycles among same-length forms is resolved by
-one dense float64 solve (``numpy.linalg.solve``, that is LAPACK) over each
-same-length layer.  The solve is direct, not iterative, but it is floating
-point: results are exact only up to rounding.  Its memory grows with the
-square of the layer size and its time with the cube, so a layer of a few
-thousand forms takes seconds and hundreds of MB.  ``exact_distribution`` reads every
+order, over the integer ids the search gives its forms.  Within a
+same-length layer, the rewrites between its forms split it into strongly
+connected components (Tarjan 1972), visited sources first.  A form on no
+same-length cycle passes its inflow on directly; the mass that cycles
+within a component is resolved by one dense float64 solve
+(``numpy.linalg.solve``, that is LAPACK) over that component alone.  The
+solve is direct, not iterative, but it is floating point: results are
+exact only up to rounding, measured within 1e-13 of exact rational
+arithmetic in the tests.  Its memory grows with the square of the largest
+component, not of the layer, and its time with the cube of each
+component, so a layer of thousands of forms in small cycles is cheap, and
+a layer without a cycle makes no LAPACK call.  ``exact_distribution`` reads every
 string of its support from one such sweep.  The sweep explores nothing
 itself: it reads its forms, and the rewrites of each, from the grammar's
 cached bounded search, the one that also serves ``derives_bounded`` and
@@ -224,68 +230,135 @@ def _sweep(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, flo
     form, is therefore kept at the larger bound too, while the forms added
     by the larger bound cannot derive ``w``.  The linear system that
     determines ``w``'s mass is unchanged.
+
+    Edges, layers and mass live in lists indexed by the search's form ids.
+    The non-terminal forms of one length make a layer, taken shortest
+    first.  Within a layer, the rewrites of positive probability between
+    its forms split it into strongly connected components, visited sources
+    first (:func:`_components`).  A form on no such cycle passes its inflow
+    on as its visits; each component with a cycle gets one dense solve of
+    its own, and one that receives no mass is skipped.  A component with a
+    cycle is *closed* when no rewrite of positive probability leads out of
+    it: to another form, a terminal string or out of the bound.  A layer
+    that receives mass raises ``ValueError`` if any of its components is
+    closed, whether or not mass reaches that component; so does a solve
+    that is singular in floating point.
     """
     g = wg.grammar
     reach = _bounded_reachability(g, bound, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-    # The transient (non-terminal) forms, their outgoing distributions and
-    # their layers by length.  A form with no rewrite, or zero mass, gets no edges.
-    edges: dict[SymbolString, list[tuple[SymbolString, float]]] = {}
-    layers: dict[int, list[SymbolString]] = {}
-    for form, rewrites in zip(reach.parents, reach.rewrites):
-        if form.is_all_terminal():
+    forms = list(reach.parents)  # a completed search expanded each one
+    escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
+    terminal = [not r and form.is_all_terminal() for form, r in zip(forms, reach.rewrites)]
+    size = [len(form.symbols) for form in forms]
+    # Each non-terminal form's rewrites as (child id, probability); a form
+    # with no rewrite, or zero mass, gets none.  ``inner`` keeps the
+    # positive ones to a non-terminal form of the same length.
+    edges: list[list[tuple[int, float]]] = [[] for _ in forms]
+    inner: dict[int, list[int]] = {}
+    layers: dict[int, list[int]] = {}
+    for i, rewrites in enumerate(reach.rewrites):
+        if terminal[i]:
             continue
-        out: list[tuple[SymbolString, float]] = []
+        length = size[i]
+        layers.setdefault(length, []).append(i)
         raw = [wg.weights[index] for index, _ in rewrites]
         for (_, child), p in _renormalized(rewrites, raw):
             if child is None:
-                continue  # the mass escapes the bound and is dropped
-            if len(child) < len(form) and not child.is_all_terminal():
+                child = escaped
+            elif terminal[child]:
+                pass  # the string absorbs this mass
+            elif size[child] < length:
                 raise ValueError(
-                    f"erasure into non-terminal form {child} is unsupported "
+                    f"erasure into non-terminal form {forms[child]} is unsupported "
                     "for exact probabilities"
                 )
-            out.append((child, p))
-        edges[form] = out
-        layers.setdefault(len(form), []).append(form)
+            elif size[child] == length and p > 0.0:
+                inner.setdefault(i, []).append(child)
+            edges[i].append((child, p))
 
-    absorbed: dict[SymbolString, float] = {}
-    mass_in: dict[SymbolString, float] = {SymbolString((g.start,)): 1.0}
+    mass = [0.0] * (escaped + 1)  # a terminal string's mass is what it absorbs
+    mass[0] = 1.0
+
+    def pass_on(i: int, visits: float) -> None:
+        # What this adds to a member of a solved component is never read.
+        if visits != 0.0:
+            for child, p in edges[i]:
+                mass[child] += visits * p
+
     for length in sorted(layers):
-        layer = sorted(layers[length], key=lambda f: f.names())
-        index = {f: i for i, f in enumerate(layer)}
-        m0 = np.array([mass_in.get(f, 0.0) for f in layer])
-        if not m0.any():
+        layer = layers[length]
+        if not any(mass[i] for i in layer):
             continue
-        same_layer = [
-            (index[f], index[child], p)
-            for f in layer
-            for child, p in edges[f]
-            if child in index
-        ]
-        if same_layer:
-            q = np.zeros((len(layer), len(layer)))
-            for i, j, p in same_layer:
-                q[i, j] += p
-            try:
-                x = np.linalg.solve(np.eye(len(layer)) - q.T, m0)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    "probability mass trapped in a same-length cycle"
-                ) from None
-        else:
-            x = m0
-        for f in layer:
-            visits = float(x[index[f]])
-            if visits == 0.0:
+        for component in _components(layer, inner):
+            first = component[0]
+            if len(component) == 1 and first not in inner.get(first, ()):
+                pass_on(first, mass[first])
                 continue
-            for child, p in edges[f]:
-                if child not in edges:
-                    absorbed[child] = absorbed.get(child, 0.0) + visits * p
-                elif len(child) > length:
-                    mass_in[child] = mass_in.get(child, 0.0) + visits * p
-    return absorbed
+            within = {f: k for k, f in enumerate(component)}
+            if all(child in within for f in component for child, p in edges[f] if p > 0.0):
+                raise ValueError("probability mass trapped in a same-length cycle")
+            inflow = [mass[f] for f in component]
+            if not any(inflow):
+                continue
+            q = np.zeros((len(component), len(component)))
+            for k, f in enumerate(component):
+                for child, p in edges[f]:
+                    if child in within:
+                        q[k, within[child]] += p
+            try:
+                visits = np.linalg.solve(np.eye(len(component)) - q.T, inflow)
+            except np.linalg.LinAlgError:
+                raise ValueError("probability mass trapped in a same-length cycle") from None
+            for k, f in enumerate(component):
+                pass_on(f, float(visits[k]))
+    return {forms[i]: mass[i] for i in range(escaped) if terminal[i]}
+
+
+def _components(layer: list[int], inner: dict[int, list[int]]) -> list[list[int]]:
+    """The strongly connected components of ``inner``'s edges among the ids
+    of ``layer``, sources first, each sorted by id.
+
+    Tarjan (1972), with an explicit stack of (id, unvisited edges) instead of
+    recursion.  Tarjan completes each component after every component it
+    reaches, so the reversed order of completion puts sources first.  A
+    completed form's order becomes ``done``, later than every first visit,
+    so an edge into a completed component lowers no low link.
+    """
+    done = len(layer)
+    order: dict[int, int] = {}  # id -> the order of its first visit
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    components: list[list[int]] = []
+    for root in layer:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(inner.get(root, ())))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    work.append((w, iter(inner.get(w, ()))))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        order[component[-1]] = done
+                    components.append(sorted(component))
+    components.reverse()
+    return components
 
 
 def string_probability(

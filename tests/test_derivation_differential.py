@@ -10,8 +10,9 @@ parent tuple), and the same exception type where the oracle raises.
 
 The search records its rewrites with a loop of its own, not through
 ``successors``, so each search here also checks that record against
-``successors``: the same rewrites in the same order, each child the
-parent map's own key, or ``None`` where it leaves the bound.
+``successors``: the same rewrites in the same order, each child the id of
+the kept form equal to the successor's result (its place in the parent
+map's insertion order), or ``None`` exactly where that form is not kept.
 """
 
 from __future__ import annotations
@@ -55,16 +56,17 @@ def assert_same_successors(form: SymbolString, g: Grammar) -> None:
 
 
 def assert_rewrites_match_successors(g: Grammar, reach) -> None:
-    keys = {form: form for form in reach.parents}
-    assert len(reach.rewrites) <= len(reach.parents)
+    forms = list(reach.parents)  # a form's id is its place here
+    assert len(reach.rewrites) <= len(forms)
     if reach.completed:
-        assert len(reach.rewrites) == len(reach.parents)
-    for form, rewrites in zip(reach.parents, reach.rewrites):
+        assert len(reach.rewrites) == len(forms)
+    for form, rewrites in zip(forms, reach.rewrites):
         steps = successors(form, g)
         assert [index for index, _ in rewrites] == [s.production_index for s in steps]
         for (_, child), step in zip(rewrites, steps):
-            if step.after in keys:
-                assert child is keys[step.after]
+            if step.after in reach.parents:
+                assert type(child) is int and 0 <= child < len(forms)
+                assert forms[child] == step.after
             else:
                 assert child is None
 

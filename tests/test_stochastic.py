@@ -27,6 +27,9 @@ from lcsg import (
 )
 from lcsg.symbols import SymbolString
 from conftest import DATA, load_weighted
+import rational_oracle as rational
+import stochastic_oracle
+from rational_oracle import within_relative
 
 
 def wg_from(text: str) -> WeightedGrammar:
@@ -375,6 +378,80 @@ def test_the_longest_string_after_exact_distribution_is_a_look_up(monkeypatch):
     calls.clear()
     assert string_probability(wg, ab) == d.probabilities[ab] == 0.5
     assert calls == []
+
+
+def test_an_acyclic_layer_needs_no_solve(monkeypatch):
+    calls = count_calls_and_solves(monkeypatch)
+    d = exact_distribution(load_weighted("abc.grammar"), 15)  # a layer of 195 forms, no cycle
+    assert len(d.probabilities) == 5
+    assert calls.count("solve") == 0
+
+
+def test_each_reached_cycle_gets_one_solve(monkeypatch):
+    calls = count_calls_and_solves(monkeypatch)
+    d = exact_distribution(wg_from(TWO_IN_A_CYCLE), 2)
+    assert calls.count("solve") == 1
+    assert sum(d.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# Every same-length layer of A and B at bound 6 splits into cyclic
+# components of 2 to 64 forms: A's largest layer holds 5460 forms in 1020
+# of them, and B's 15 561 forms in 3367.  One dense solve per layer took
+# seconds and hundreds of MB on A, and tens of seconds and GB on B.
+INPUT_A = (
+    "start: S\nterminals: a b\nnonterminals: S A B\n"
+    "S -> b b p=1\nS -> S A p=0.5\nS -> B A A p=2\nS -> A p=1\n"
+    "A -> a p=0.5\nA -> S p=0.5\nA -> B p=0.5\nA -> A p=3\n"
+)
+INPUT_B = INPUT_A + "B -> b p=1\n"
+
+_SWEEP_COST = """
+import resource, sys, time
+from lcsg import WeightedGrammar, exact_distribution, parse_grammar
+wg = WeightedGrammar.from_grammar(parse_grammar(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+exact_distribution(wg, 6)
+print(time.perf_counter() - start, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+@pytest.mark.parametrize(
+    "text, seconds, megabytes", [(INPUT_A, 1.0, 100), (INPUT_B, 3.0, 200)], ids=["A", "B"]
+)
+def test_many_cycles_in_one_layer_stay_fast_and_small(text, seconds, megabytes):
+    # In a child process, so the peak RSS it adds is this sweep's alone.
+    child = subprocess.run(
+        [sys.executable, "-c", _SWEEP_COST, text], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    took, added = map(float, child.stdout.split())
+    assert took < seconds and added < megabytes, (took, added)
+
+
+def test_many_cycles_in_one_layer_match_the_rational_reference():
+    wg = wg_from(INPUT_A)
+    got = exact_distribution(wg, 6)
+    exact, residual = rational.exact_distribution(wg, 6)
+    assert list(got.probabilities) == list(exact)
+    for w, p in exact.items():
+        assert within_relative(got.probabilities[w], p), (w, got.probabilities[w], p)
+    assert got.residual == pytest.approx(float(residual), abs=1e-12)
+
+
+# A cycle whose every rewrite stays in it; S reaches it only by weight 0.
+UNREACHED_TRAP = (
+    "start: S\nterminals: a\nnonterminals: S A B\n"
+    "S -> a p=1\nS -> A p=0\nA -> B\nB -> A\n"
+)
+
+
+def test_a_closed_cycle_in_a_layer_with_mass_raises_even_unreached():
+    wg = wg_from(UNREACHED_TRAP)
+    for exact in (exact_distribution, stochastic_oracle.exact_distribution, rational.exact_distribution):
+        with pytest.raises(ValueError, match="trapped"):
+            exact(wg, 2)
 
 
 def test_negative_bounds_and_step_limits_are_refused(loop):
