@@ -50,44 +50,9 @@ def absorption(
 ) -> dict[SymbolString, Fraction]:
     """The exact absorbed mass of every terminal string of length at most
     ``bound``; components of more than ``most`` forms are not solved."""
-    reach = _bounded_reachability(wg.grammar, bound, fuel)
-    if not reach.completed:
-        raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-    forms = list(reach.parents)
-    weights = [Fraction(w) for w in wg.weights]
-    edges: dict[int, list[tuple[int, Fraction]]] = {}  # non-terminal forms only
-    for i, rewrites in enumerate(reach.rewrites):
-        if forms[i].is_all_terminal():
-            continue
-        total = sum((weights[index] for index, _ in rewrites), Fraction(0))
-        out = []
-        for index, child in rewrites if total else ():
-            if child is None:
-                continue  # the mass leaves the bound
-            if len(forms[child]) < len(forms[i]) and not forms[child].is_all_terminal():
-                raise ValueError(
-                    f"erasure into non-terminal form {forms[child]} is unsupported "
-                    "for exact probabilities"
-                )
-            out.append((child, weights[index] / total))
-        edges[i] = out
-
-    layers: dict[int, list[int]] = {}
-    for i in edges:
-        layers.setdefault(len(forms[i]), []).append(i)
-    components = {}
-    for length, layer in layers.items():
-        same = {i: [c for c, p in edges[i] if c in edges and len(forms[c]) == length and p > 0] for i in layer}
-        components[length] = _components_sources_first(layer, same)
-    reached, todo = {0}, [0]
-    while todo:
-        for child, p in edges.get(todo.pop(), ()):
-            if p > 0 and child not in reached:
-                reached.add(child)
-                todo.append(child)
-    for length, layer in layers.items():
-        if reached.intersection(layer) and any(_traps(c, edges) for c in components[length]):
-            raise ValueError("probability mass trapped in a same-length cycle")
+    forms, edges, layers, components = _graph(wg, bound, fuel)
+    if _trapped(edges, layers, components):
+        raise ValueError("probability mass trapped in a same-length cycle")
 
     absorbed = {i: Fraction(0) for i in range(len(forms)) if i not in edges}
     mass = {i: Fraction(0) for i in edges}
@@ -117,6 +82,64 @@ def absorption(
                     else:
                         mass[child] += x * p
     return {forms[i]: p for i, p in absorbed.items()}
+
+
+def traps(wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL) -> bool:
+    """A layer that mass reaches holds a component that traps its mass, in
+    the sweep that :func:`exact_distribution` runs at ``bound``."""
+    longest = max((len(w) for w in _support(wg, bound, fuel)), default=0)
+    return _trapped(*_graph(wg, longest, fuel)[1:])
+
+
+def _graph(wg: WeightedGrammar, bound: int, fuel: int):
+    """The search's forms, each non-terminal form's rewrites as (child id,
+    exact probability), the non-terminal ids of each length, and each
+    layer's components, sources first."""
+    reach = _bounded_reachability(wg.grammar, bound, fuel)
+    if not reach.completed:
+        raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
+    forms = list(reach.parents)
+    weights = [Fraction(w) for w in wg.weights]
+    edges: dict[int, list[tuple[int, Fraction]]] = {}  # non-terminal forms only
+    for i, rewrites in enumerate(reach.rewrites):
+        if forms[i].is_all_terminal():
+            continue
+        total = sum((weights[index] for index, _ in rewrites), Fraction(0))
+        out = []
+        for index, child in rewrites if total else ():
+            if child is None:
+                continue  # the mass leaves the bound
+            if len(forms[child]) < len(forms[i]) and not forms[child].is_all_terminal():
+                raise ValueError(
+                    f"erasure into non-terminal form {forms[child]} is unsupported "
+                    "for exact probabilities"
+                )
+            out.append((child, weights[index] / total))
+        edges[i] = out
+
+    layers: dict[int, list[int]] = {}
+    for i in edges:
+        layers.setdefault(len(forms[i]), []).append(i)
+    components = {}
+    for length, layer in layers.items():
+        same = {i: [c for c, p in edges[i] if c in edges and len(forms[c]) == length and p > 0] for i in layer}
+        components[length] = _components_sources_first(layer, same)
+    return forms, edges, layers, components
+
+
+def _trapped(edges, layers, components) -> bool:
+    """A layer that a path of positive rewrites from the start form reaches
+    holds a component that :func:`_traps` its mass."""
+    reached, todo = {0}, [0]
+    while todo:
+        for child, p in edges.get(todo.pop(), ()):
+            if p > 0 and child not in reached:
+                reached.add(child)
+                todo.append(child)
+    return any(
+        reached.intersection(layer) and any(_traps(c, edges) for c in components[length])
+        for length, layer in layers.items()
+    )
 
 
 def _traps(component: list[int], edges: dict[int, list[tuple[int, Fraction]]]) -> bool:
@@ -191,13 +214,6 @@ def _gauss_jordan(rows: list[dict[int, Fraction]]) -> list[Fraction]:
     return [row.get(n, Fraction(0)) for row in rows]
 
 
-def string_probability(wg: WeightedGrammar, w: SymbolString, fuel: int = DEFAULT_FUEL) -> Fraction:
-    """The exact probability of deriving the terminal string ``w``."""
-    if not w.is_all_terminal():
-        raise ValueError(f"string must contain only terminals: {w}")
-    return absorption(wg, len(w), fuel).get(w, Fraction(0))
-
-
 def exact_distribution(
     wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL, most: int | None = None
 ) -> tuple[dict[SymbolString, Fraction], Fraction]:
@@ -206,7 +222,13 @@ def exact_distribution(
     Like the library, it sweeps at the longest string of the support, so a
     cycle that only longer forms reach traps nothing here.
     """
-    support = sorted(enumerate_language(wg.grammar, bound, fuel), key=lambda s: (len(s), s.names()))
+    support = _support(wg, bound, fuel)
     absorbed = absorption(wg, max((len(w) for w in support), default=0), fuel, most)
     probabilities = {w: absorbed.get(w, Fraction(0)) for w in support}
     return probabilities, 1 - sum(probabilities.values(), Fraction(0))
+
+
+def _support(wg: WeightedGrammar, bound: int, fuel: int) -> list[SymbolString]:
+    """The strings up to ``bound``, shortest first, as the library lists them."""
+    return sorted(enumerate_language(wg.grammar, bound, fuel), key=lambda s: (len(s), s.names()))
+
