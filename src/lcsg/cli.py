@@ -51,7 +51,7 @@ from .predictors import (
     toy_attention_predictor,
 )
 from .stochastic import DeadEndError, WeightedGrammar, sample_derivation
-from .symbols import SymbolString, terminal
+from .symbols import SymbolString, shortlex, terminal
 from .traces import serialize_trace
 
 EXIT_OK = 0
@@ -130,7 +130,7 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     g = _load_grammar(args.grammar)
     language = enumerate_language(g, args.max_len, args.fuel)
-    ordered = sorted(language, key=lambda w: (len(w), w.names()))
+    ordered = sorted(language, key=shortlex)
     lines = [str(w) for w in ordered]
     return ("\n".join(lines) + "\n") if lines else "", EXIT_OK
 

@@ -28,13 +28,13 @@ the first search it also holds the search profile.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
 repeated queries on one grammar object share a search, the exact
 probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  Beside them it keeps as many exact-probability sweeps,
-keyed by ``(bound, fuel, weights)``, each one float per terminal string of
-the search it read, so a repeated string probability is a look-up.  Both
-caches drop the least recently used entry first and keep nothing from a
-call that raises: a search that runs out of fuel returns and is kept, but
-a sweep over it raises and is not.  The view is freed with its grammar and
-is never pickled.
+again starts cold.  That one cache drops the least recently used search
+first, and each search keeps the last exact-probability sweep over it with
+the weights it read: one float per terminal string, so a repeated string
+probability is a look-up.  A sweep is dropped with its search.  Nothing is
+kept from a call that raises: a search that runs out of fuel returns and
+is kept, but a sweep over it raises and is not.  The view is freed with
+its grammar and is never pickled.
 
 For each form it reaches, a search keeps the :class:`DerivationStep` that
 first reached it, and the trace ``derives_bounded`` returns is the chain of
@@ -187,7 +187,7 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Reachability:
     # Each form the search reached -> the step that first reached it, None
     # for the start form; a trace is the chain of these steps back to it.
@@ -198,6 +198,9 @@ class _Reachability:
     # leaves the bound).
     rewrites: list[tuple[tuple[int, int | None], ...]]
     completed: bool
+    # The last exact-probability sweep over this search, as (weights, the
+    # absorbed mass of each terminal string), or None before the first.
+    sweep: tuple[tuple[float, ...], dict[SymbolString, float]] | None = None
 
 
 class _CompiledGrammar:
@@ -207,11 +210,10 @@ class _CompiledGrammar:
     kinds apart, to the productions whose lhs starts with it, in index
     order, as ``(index, lhs length, second lhs symbol or None, lhs[2:],
     rhs)``.  ``nullable`` is ``_search_profile``'s set, or ``None`` until the
-    first search computes it.  ``searches`` keeps the last
+    first search computes it.  ``searches``, the one cache, keeps the last
     ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len, fuel)``
-    and least recently used first.  ``sweeps`` keeps as many exact
-    probability sweeps of :mod:`lcsg.stochastic`, keyed by ``(bound, fuel,
-    weights)``: one float per terminal string of the search it read.
+    and least recently used first; each holds the last sweep of
+    :mod:`lcsg.stochastic` over it.
     """
 
     def __init__(self, g: Grammar) -> None:
@@ -223,7 +225,6 @@ class _CompiledGrammar:
             self.by_head.setdefault(lhs[0], []).append(entry)
         self.nullable: frozenset[Symbol] | None = None
         self.searches: dict[tuple[int, int], _Reachability] = {}
-        self.sweeps: dict[tuple[int, int, tuple[float, ...]], dict[SymbolString, float]] = {}
 
     def min_yield(self, symbols: tuple[Symbol, ...]) -> int:
         """The fewest terminals the form ``symbols`` can derive."""
@@ -240,30 +241,21 @@ def _compiled(g: Grammar) -> _CompiledGrammar:
         return view
 
 
-def _make_room(cache: dict) -> None:
-    """Drop the least recently used entry of a full cache of a compiled view.
-
-    Each such cache holds at most ``_SEARCH_CACHE_SIZE`` entries.  Its users
-    pop an entry when they read it and store it again, so its first key is
-    the one least recently used; they store nothing from a call that raises.
-    """
-    if len(cache) >= _SEARCH_CACHE_SIZE:
-        del cache[next(iter(cache))]
-
-
 def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     """The search over forms whose minimal yield fits ``max_len``, cached on ``g``.
 
     Membership, enumeration and exact probabilities all read this one search.
     A negative ``max_len`` or ``fuel`` raises ``ValueError`` when the search
-    would run, so a cached query checks nothing.
+    would run, so a cached query checks nothing.  A hit moves to the end, so
+    a full cache drops its first, least recently used search.
     """
     view = _compiled(g)
     key = (max_len, fuel)
     reach = view.searches.pop(key, None)
     if reach is None:
         reach = _search(g, view, max_len, fuel)
-        _make_room(view.searches)
+        if len(view.searches) >= _SEARCH_CACHE_SIZE:
+            del view.searches[next(iter(view.searches))]
     view.searches[key] = reach
     return reach
 

@@ -31,11 +31,11 @@ itself: it reads its forms, and the rewrites of each, from the grammar's
 cached bounded search, the one that also serves ``derives_bounded`` and
 ``enumerate_language``, and so shares that search's fuel and its 16-entry
 bound per grammar object.  The search also decides which rewrites leave
-the bound.  The grammar's compiled view keeps the last 16 sweeps beside its
-searches, one per (bound, fuel, weights), so the first ``string_probability``
-per grammar object, weights and length pays for the whole bounded language
-and later ones at that length are look-ups; so is ``string_probability`` at
-the longest string of a support after ``exact_distribution``.
+the bound.  Each cached search keeps the last sweep over it with the
+weights it read, so the first ``string_probability`` per grammar object,
+weights and length pays for the whole bounded language and later ones at
+that length are look-ups; so is ``string_probability`` at the longest
+string of a support after ``exact_distribution``.
 ``_renormalized`` is the one home of renormalization, for the sampler's
 steps and the sweep's edges alike.
 """
@@ -54,12 +54,12 @@ from .derivation import (
     FuelExhaustedError,
     _bounded_reachability,
     _compiled,
-    _make_room,
+    _Reachability,
     _rewrites,
     enumerate_language,
 )
 from .grammar import Grammar
-from .symbols import SymbolString
+from .symbols import SymbolString, shortlex
 
 
 class DeadEndError(RuntimeError):
@@ -199,32 +199,31 @@ def sample_derivation(
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
     """The absorbed mass of every terminal string of length at most ``bound``.
 
-    Each sweep that completes is kept on the grammar's compiled view, keyed
-    by ``(bound, fuel, wg.weights)``, beside the searches and under the same
-    bound: two weightings of one grammar never share a sweep.  Callers must
-    not change the dict returned.  A sweep that raises is not kept, so it
-    raises again on the next call.
+    The grammar's cached search at ``(bound, fuel)`` keeps the last sweep
+    over it, with the weights it read, for reuse under equal weights only:
+    two weightings never share a sweep.  Callers must not change the dict
+    returned.  A sweep that raises is not kept, so it raises again on the
+    next call.
     """
-    sweeps = _compiled(wg.grammar).sweeps
-    key = (bound, fuel, wg.weights)
-    absorbed = sweeps.pop(key, None)
-    if absorbed is None:
-        absorbed = _sweep(wg, bound, fuel)
-        _make_room(sweeps)
-    sweeps[key] = absorbed
-    return absorbed
+    reach = _bounded_reachability(wg.grammar, bound, fuel)
+    if reach.sweep is None or reach.sweep[0] != wg.weights:
+        if not reach.completed:
+            raise FuelExhaustedError(
+                f"fuel {fuel} exhausted computing probabilities to length {bound}"
+            )
+        reach.sweep = (wg.weights, _sweep(wg, reach))
+    return reach.sweep[1]
 
 
-def _sweep(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
-    """``_absorption``'s sweep, run afresh.
+def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, float]:
+    """``_absorption``'s sweep over the completed search ``reach``, run afresh.
 
-    The sweep reads its forms and their rewrites from the grammar's cached
-    bounded search, :func:`lcsg.derivation._bounded_reachability`, and
-    expands no form itself.  The search keeps the forms whose minimal yield
-    fits ``bound``, and records a rewrite to any other form with the child
+    The sweep reads its forms and their rewrites from ``reach`` and expands
+    no form itself.  The search keeps the forms whose minimal yield fits
+    its bound, and records a rewrite to any other form with the child
     ``None``: its weight counts in the renormalization at its form, as in
     ``normalize_weights``, and its mass escapes the bound.  One sweep serves
-    every length up to ``bound`` because, for all three accepted grammar
+    every length up to the bound because, for all three accepted grammar
     shapes, the minimal yield never decreases along a derivation.  Every
     form on a derivation of a shorter ``w``, and every ancestor of such a
     form, is therefore kept at the larger bound too, while the forms added
@@ -244,10 +243,6 @@ def _sweep(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, flo
     closed, whether or not mass reaches that component; so does a solve
     that is singular in floating point.
     """
-    g = wg.grammar
-    reach = _bounded_reachability(g, bound, fuel)
-    if not reach.completed:
-        raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
     forms = list(reach.parents)  # a completed search expanded each one
     escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
     terminal = [not r and form.is_all_terminal() for form, r in zip(forms, reach.rewrites)]
@@ -378,7 +373,7 @@ def exact_distribution(
     wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL
 ) -> StringDistribution:
     """The exact distribution over derivable strings up to ``bound``."""
-    support = sorted(enumerate_language(wg.grammar, bound, fuel), key=lambda s: (len(s), s.names()))
+    support = sorted(enumerate_language(wg.grammar, bound, fuel), key=shortlex)
     # One sweep at the longest derivable length, the largest one a
     # per-string computation would run, serves every string in the support.
     absorbed = _absorption(wg, max((len(w) for w in support), default=0), fuel)
@@ -392,7 +387,7 @@ def total_variation(d1: StringDistribution, d2: StringDistribution) -> float:
     if d1.bound != d2.bound:
         raise BoundMismatchError(f"bounds differ: {d1.bound} != {d2.bound}")
     # Summed in a fixed order: a float sum in set order would vary between runs.
-    support = sorted({*d1.probabilities, *d2.probabilities}, key=lambda w: (len(w), w.names()))
+    support = sorted({*d1.probabilities, *d2.probabilities}, key=shortlex)
     diff = sum(
         abs(d1.probabilities.get(w, 0.0) - d2.probabilities.get(w, 0.0)) for w in support
     )

@@ -145,9 +145,8 @@ class SymbolString:
         return self.symbols[index]
 
     def __add__(self, other: Union["SymbolString", Iterable[Symbol]]) -> "SymbolString":
-        if isinstance(other, SymbolString):
-            return SymbolString._of(self.symbols + other.symbols)
-        return SymbolString(self.symbols + tuple(other))
+        # Only the appended operand is checked; ``self`` was checked when built.
+        return SymbolString._of(self.symbols + SymbolString(other).symbols)
 
     def startswith(self, prefix: "SymbolString") -> bool:
         return self.symbols[: len(prefix)] == prefix.symbols
@@ -171,6 +170,15 @@ class SymbolString:
 
     def __repr__(self) -> str:
         return f"<{self}>"
+
+
+def shortlex(w: SymbolString) -> tuple[int, tuple[str, ...]]:
+    """The sort key of shortlex order, shorter strings first, then by name.
+
+    The one order in which strings are listed or summed, since set order
+    follows identity hashes.
+    """
+    return (len(w), w.names())
 
 
 EMPTY = SymbolString()

@@ -1,11 +1,11 @@
 """The compiled view a grammar holds, the strings a search and the sampler
-wrap, its search and sweep caches, and pickling.
+wrap, its one search cache with the sweep each search keeps, and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
-``_SEARCH_CACHE_SIZE`` searches and as many exact-probability sweeps, until
-the grammar itself is freed.  Caches never travel in a pickle: str hashes
-differ between processes, and a parent map can hold ``DEFAULT_FUEL`` forms
-and more.
+``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
+over it, until the grammar itself is freed.  The cache never travels in a
+pickle: str hashes differ between processes, and a parent map can hold
+``DEFAULT_FUEL`` forms and more.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import weakref
 
 import pytest
 
+import lcsg.stochastic
 from conftest import load_grammar
 from lcsg import (
     FuelExhaustedError,
@@ -43,7 +44,6 @@ def test_the_view_is_built_on_first_use_not_at_parse():
     assert view is _compiled(g)
     assert view.nullable is None  # successors needs no search profile
     assert view.searches == {}
-    assert view.sweeps == {}
 
 
 def test_the_index_groups_productions_by_lhs_head_in_index_order(abc):
@@ -97,32 +97,52 @@ def test_the_sampler_wraps_only_the_steps_it_draws(monkeypatch):
         wrapped.clear()
 
 
+def count_sweeps(monkeypatch) -> list[tuple[float, ...]]:
+    """Patch ``stochastic._sweep``; return the list of the weights each sweep reads."""
+    sweeps: list[tuple[float, ...]] = []
+    sweep = lcsg.stochastic._sweep
+
+    def counted(wg, reach):
+        sweeps.append(wg.weights)
+        return sweep(wg, reach)
+
+    monkeypatch.setattr(lcsg.stochastic, "_sweep", counted)
+    return sweeps
+
+
 def test_the_sweeps_keep_at_most_their_bound_least_recently_used_first():
     wg = WeightedGrammar.from_grammar(parse_grammar(A_PLUS))
     size = _SEARCH_CACHE_SIZE
     for n in range(1, size + 1):
         string_probability(wg, wg.grammar.string_of(["a"] * n))
     string_probability(wg, wg.grammar.string_of(["a"]))  # a hit: length 1 is most recent
+    evicted = weakref.ref(_compiled(wg.grammar).searches[(2, DEFAULT_FUEL)])
     for n in range(size + 1, size + 4):
         string_probability(wg, wg.grammar.string_of(["a"] * n))
     kept = [*range(5, size + 1), 1, *range(size + 1, size + 4)]
-    assert list(_compiled(wg.grammar).sweeps) == [(n, DEFAULT_FUEL, wg.weights) for n in kept]
+    searches = _compiled(wg.grammar).searches
+    assert list(searches) == [(n, DEFAULT_FUEL) for n in kept]
     assert len(kept) == size
+    # Each kept search holds its own sweep; an evicted one took its sweep with it.
+    assert all(reach.sweep[0] == wg.weights for reach in searches.values())
+    gc.collect()
+    assert evicted() is None
 
 
-def test_two_weightings_of_one_grammar_never_share_a_sweep():
+def test_two_weightings_of_one_grammar_never_share_a_sweep(monkeypatch):
     g = parse_grammar(THREE_WORDS)
     even = WeightedGrammar.from_grammar(g)
     skewed = WeightedGrammar(g, (2.0, 1.0, 1.0))
     a = g.string_of(["a"])
+    sweeps = count_sweeps(monkeypatch)
     assert string_probability(even, a) == 1 / 3
     assert string_probability(skewed, a) == 0.5
     assert string_probability(even, a) == 1 / 3
-    assert list(_compiled(g).sweeps) == [
-        (1, DEFAULT_FUEL, skewed.weights),
-        (1, DEFAULT_FUEL, even.weights),
-    ]
-    assert list(_compiled(g).searches) == [(1, DEFAULT_FUEL)]  # the search is shared
+    assert sweeps == [even.weights, skewed.weights, even.weights]  # each change sweeps again
+    assert string_probability(WeightedGrammar(g, even.weights), a) == 1 / 3
+    assert len(sweeps) == 3  # equal weights reuse the sweep
+    (reach,) = _compiled(g).searches.values()  # the search is shared
+    assert reach.sweep[0] == even.weights
 
 
 ONE_WORD = "start: S\nterminals: a\nnonterminals: S\nS -> a\n"
@@ -145,7 +165,8 @@ def test_a_sweep_that_raises_is_not_kept(text, fuel, error):
     for _ in range(2):
         with pytest.raises(error):
             string_probability(wg, w, fuel)
-        assert _compiled(wg.grammar).sweeps == {}
+        (reach,) = _compiled(wg.grammar).searches.values()  # the search is kept
+        assert reach.sweep is None
 
 
 def test_a_completed_search_keeps_at_most_fuel_forms():
@@ -202,7 +223,7 @@ def test_the_cache_is_freed_with_its_grammar():
     enumerate_language(g, 9)
     wg = WeightedGrammar.from_grammar(g)
     assert string_probability(wg, g.string_of("a a b b c c".split())) > 0.0
-    assert len(_compiled(g).sweeps) == 1
+    assert _compiled(g).searches[(6, DEFAULT_FUEL)].sweep is not None
     ref = weakref.ref(g)
     del g, wg
     gc.collect()
@@ -218,7 +239,7 @@ def test_a_searched_grammar_pickles_without_its_caches():
     p = string_probability(wg, w)
     enumerate_language(g, 9)
     assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].parents) > 30
-    assert list(_compiled(g).sweeps) == [(6, DEFAULT_FUEL, wg.weights)]
+    assert _compiled(g).searches[(6, DEFAULT_FUEL)].sweep[0] == wg.weights
     blob = pickle.dumps(g)
     assert len(blob) == len(blob_before)
     assert len(pickle.dumps(wg)) == len(wg_blob_before)
@@ -259,5 +280,6 @@ def test_slices_and_joins_agree_with_checked_construction():
     assert s + s[:1] == SymbolString((a,) * 4)
     with pytest.raises(ValueError):
         SymbolString((a, "a"))
-    with pytest.raises(ValueError):
+    assert s + [a] == s + (a,) == SymbolString((a,) * 4)
+    with pytest.raises(ValueError, match="not a Symbol"):
         s + ["a"]

@@ -454,6 +454,61 @@ def test_a_closed_cycle_in_a_layer_with_mass_raises_even_unreached():
             exact(wg, 2)
 
 
+# B -> B renormalizes to 1.0 in floats, so the solve is singular, though
+# the exact rational weights leave the cycle with probability 1e-20.
+FLOAT_SINGULAR = (
+    "start: S\nterminals: a\nnonterminals: S B\n"
+    "S -> B\nB -> B p=1e20\nB -> a\n"
+)
+
+
+def test_a_float_singular_solve_raises_trapped():
+    wg = wg_from(FLOAT_SINGULAR)
+    for exact in (exact_distribution, stochastic_oracle.exact_distribution):
+        with pytest.raises(ValueError, match="trapped"):
+            exact(wg, 1)
+    assert not rational.traps(wg, 1)
+
+
+# The layer of length 2 is one closed cycle, and S reaches it only by weight 0.
+UNREACHED_LAYER_TRAP = (
+    "start: S\nterminals: a\nnonterminals: S A B\n"
+    "S -> a p=1\nS -> A A p=0\nA -> B\nB -> A\n"
+)
+
+
+def test_a_layer_without_mass_may_hold_a_closed_cycle():
+    wg = wg_from(UNREACHED_LAYER_TRAP)
+    a, aa = (wg.grammar.string_of(["a"] * n) for n in (1, 2))
+    # A sweep at bound 2; exact_distribution would sweep only to its longest string, a.
+    assert lcsg.stochastic._absorption(wg, 2, lcsg.derivation.DEFAULT_FUEL) == {a: 1.0}
+    assert string_probability(wg, aa) == stochastic_oracle.string_probability(wg, aa) == 0.0
+    assert rational.absorption(wg, 2) == {a: 1}
+
+
+# Two cycles of length 2: b A <-> b B receives half the mass, while the
+# cycles below B B, which S reaches only by weight 0, receive none.
+CYCLE_WITHOUT_INFLOW = (
+    "start: S\nterminals: a b\nnonterminals: S A B\n"
+    "S -> a\nS -> b A\nS -> B B p=0\nB -> A\nA -> B\nA -> a\n"
+)
+
+
+def test_a_cycle_without_inflow_gets_no_solve(monkeypatch):
+    wg = wg_from(CYCLE_WITHOUT_INFLOW)
+    want = stochastic_oracle.exact_distribution(wg, 2)
+    sizes: list[int] = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        sizes.append(len(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert exact_distribution(wg, 2) == want
+    assert sizes == [2]
+
+
 def test_negative_bounds_and_step_limits_are_refused(loop):
     b = loop.grammar.string_of(["b"])
     with pytest.raises(ValueError, match="max_steps"):
