@@ -37,20 +37,20 @@ is kept, but a sweep over it raises and is not.  The view is freed with
 its grammar and is never pickled.
 
 For each form it reaches, a search keeps the :class:`DerivationStep` that
-first reached it, and the trace ``derives_bounded`` returns is the chain of
-those steps back to the start form.  Each form it reaches has an id: its
-place in breadth-first order, which is the order of those parent links.
-For each form it expands, the search also records every rewrite in
-successor order, as the production index and the child's id, or ``None``
-where the child leaves the bound.  Exact probabilities read their edges
-from this record as a graph over ids; they expand no form themselves and
-look a form up only for the terminal strings they absorb.  A search
-expands at most ``fuel`` forms, so a completed search keeps at most
-``fuel`` forms; one that runs out of fuel also keeps the forms it reached
-but did not expand, up to ``fuel`` times the largest number of rewrites of
-one form, plus one.  Either way it records at most ``fuel`` times that
-number of rewrites, each a pair of an index and an id, with no form of its
-own.
+first reached it and one int, the form's minimal yield.  The trace
+``derives_bounded`` returns is the chain of those steps back to the start.
+Each form it reaches has an id: its place in breadth-first order, which is
+the order of those parent links.  For each form it expands, the search
+also records every rewrite in successor order, as the production index and
+the child's id, or ``None`` where the child leaves the bound.  Exact
+probabilities read their edges from this record as a graph over ids, and
+their layers from the yields; they expand no form themselves and look a
+form up only for the terminal strings they absorb.  A search expands at
+most ``fuel`` forms, so a completed search keeps at most ``fuel`` forms,
+each with its step and its int; one that runs out of fuel also keeps the
+forms it reached but did not expand, up to ``fuel`` times the largest
+number of rewrites of one form, plus one.  Either way it records at most
+``fuel`` times that number of rewrites, each a pair of an index and an id.
 """
 
 from __future__ import annotations
@@ -193,9 +193,10 @@ class _Reachability:
     # for the start form; a trace is the chain of these steps back to it.
     parents: dict[SymbolString, DerivationStep | None]
     # A form's id is its place in breadth-first order, the order of
-    # ``parents``' keys.  The rewrites of the form with id i, in successor
-    # order: (production index, the child's id, or None where the child
-    # leaves the bound).
+    # ``parents``' keys.  The minimal yield of the form with id i, which the
+    # bound applies to, and its rewrites, in successor order: (production
+    # index, the child's id, or None where the child leaves the bound).
+    yields: list[int]
     rewrites: list[tuple[tuple[int, int | None], ...]]
     completed: bool
     # The last exact-probability sweep over this search, as (weights, the
@@ -270,26 +271,28 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
     initial = SymbolString((g.start,))
     parents: dict[SymbolString, DerivationStep | None] = {initial: None}
     # The forms reached in breadth-first order, so a form's place is its id,
-    # and the symbols of each -> that id.  The form to expand next is the
-    # one whose id is the number of forms expanded so far.
+    # the minimal yield of each, and the symbols of each -> that id.  The
+    # form to expand next is the one whose id is the number expanded so far.
     forms: list[SymbolString] = [initial]
+    yields = [view.min_yield(initial.symbols)]
     kept: dict[tuple[Symbol, ...], int] = {initial.symbols: 0}
     rewrites: list[tuple[tuple[int, int | None], ...]] = []
     while len(rewrites) < len(forms):
         if len(rewrites) >= fuel:
-            return _Reachability(parents, rewrites, completed=False)
+            return _Reachability(parents, yields, rewrites, completed=False)
         form = forms[len(rewrites)]
         out: list[tuple[int, int | None]] = []
         for index, position, symbols in _rewrites(form.symbols, view.by_head):
             child = kept.get(symbols)
-            if child is None and view.min_yield(symbols) <= max_len:
+            if child is None and (least := view.min_yield(symbols)) <= max_len:
                 child = kept[symbols] = len(forms)
                 after = SymbolString._of(symbols)
                 parents[after] = DerivationStep(form, index, position, after)
                 forms.append(after)
+                yields.append(least)
             out.append((index, child))  # None: the rewrite leaves the bound
         rewrites.append(tuple(out))
-    return _Reachability(parents, rewrites, completed=True)
+    return _Reachability(parents, yields, rewrites, completed=True)
 
 
 def derives_bounded(

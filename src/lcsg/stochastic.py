@@ -13,25 +13,26 @@ draws.  Identical seeds therefore yield identical traces on every platform.
 
 ``string_probability`` computes the exact total probability of a terminal
 string: the sum over all complete derivations of the product of step
-probabilities.  The computation sweeps reachable forms in increasing length
-order, over the integer ids the search gives its forms.  Within a
-same-length layer, the rewrites between its forms split it into strongly
-connected components (Tarjan 1972), visited sources first.  A form on no
-same-length cycle passes its inflow on directly; the mass that cycles
-within a component is resolved by one dense float64 solve
+probabilities.  The computation sweeps reachable forms in layers of
+increasing minimal yield, the measure the search bounds, over the integer
+ids the search gives its forms.  Within a layer, the rewrites between its
+forms split it into strongly connected components (Tarjan 1972), visited
+sources first.  A form on no cycle passes its inflow on directly; the mass
+that cycles within a component is resolved by one dense float64 solve
 (``numpy.linalg.solve``, that is LAPACK) over that component alone.  The
 solve is direct, not iterative, but it is floating point: results are
 exact only up to rounding, measured within 1e-13 of exact rational
 arithmetic in the tests.  Its memory grows with the square of the largest
 component, not of the layer, and its time with the cube of each
 component, so a layer of thousands of forms in small cycles is cheap, and
-a layer without a cycle makes no LAPACK call.  ``exact_distribution`` reads every
-string of its support from one such sweep.  The sweep explores nothing
-itself: it reads its forms, and the rewrites of each, from the grammar's
-cached bounded search, the one that also serves ``derives_bounded`` and
-``enumerate_language``, and so shares that search's fuel and its 16-entry
-bound per grammar object.  The search also decides which rewrites leave
-the bound.  Each cached search keeps the last sweep over it with the
+a layer without a cycle makes no LAPACK call.  Mass that enters a cycle
+with no way out stays there, as residual.  ``exact_distribution`` reads
+every string of its support from one such sweep.  The sweep explores
+nothing itself: it reads its forms, their minimal yields and the rewrites
+of each from the grammar's cached bounded search, the one that also
+serves ``derives_bounded`` and ``enumerate_language``, and so shares that
+search's fuel and its 16-entry bound per grammar object.  The search also
+decides which rewrites leave the bound.  Each cached search keeps the last sweep over it with the
 weights it read, so the first ``string_probability`` per grammar object,
 weights and length pays for the whole bounded language and later ones at
 that length are look-ups; so is ``string_probability`` at the longest
@@ -202,8 +203,9 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
     The grammar's cached search at ``(bound, fuel)`` keeps the last sweep
     over it, with the weights it read, for reuse under equal weights only:
     two weightings never share a sweep.  Callers must not change the dict
-    returned.  A sweep that raises is not kept, so it raises again on the
-    next call.
+    returned.  Mass trapped in a closed cycle, like mass that leaves the
+    bound, is absorbed by no string.  A sweep that raises is not kept, so
+    it raises again on the next call.
     """
     reach = _bounded_reachability(wg.grammar, bound, fuel)
     if reach.sweep is None or reach.sweep[0] != wg.weights:
@@ -218,58 +220,51 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
 def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, float]:
     """``_absorption``'s sweep over the completed search ``reach``, run afresh.
 
-    The sweep reads its forms and their rewrites from ``reach`` and expands
-    no form itself.  The search keeps the forms whose minimal yield fits
-    its bound, and records a rewrite to any other form with the child
-    ``None``: its weight counts in the renormalization at its form, as in
-    ``normalize_weights``, and its mass escapes the bound.  One sweep serves
-    every length up to the bound because, for all three accepted grammar
-    shapes, the minimal yield never decreases along a derivation.  Every
-    form on a derivation of a shorter ``w``, and every ancestor of such a
-    form, is therefore kept at the larger bound too, while the forms added
-    by the larger bound cannot derive ``w``.  The linear system that
-    determines ``w``'s mass is unchanged.
+    The sweep reads its forms, their minimal yields and their rewrites from
+    ``reach`` and expands no form itself.  The search keeps the forms whose
+    minimal yield fits its bound, and records a rewrite to any other form
+    with the child ``None``: its weight counts in the renormalization at its
+    form, as in ``normalize_weights``, and its mass escapes the bound.  For
+    all three accepted grammar shapes, no rewrite into a non-terminal form
+    lowers the minimal yield.  So one sweep serves every length up to the
+    bound: every form on a derivation of a shorter ``w``, and every
+    ancestor of such a form, is kept at the larger bound too, while the
+    forms added by the larger bound cannot derive ``w``.  The linear system
+    that determines ``w``'s mass is unchanged.
 
     Edges, layers and mass live in lists indexed by the search's form ids.
-    The non-terminal forms of one length make a layer, taken shortest
-    first.  Within a layer, the rewrites of positive probability between
-    its forms split it into strongly connected components, visited sources
-    first (:func:`_components`).  A form on no such cycle passes its inflow
-    on as its visits; each component with a cycle gets one dense solve of
-    its own, and one that receives no mass is skipped.  A component with a
-    cycle is *closed* when no rewrite of positive probability leads out of
-    it: to another form, a terminal string or out of the bound.  A layer
-    that receives mass raises ``ValueError`` if any of its components is
-    closed, whether or not mass reaches that component; so does a solve
-    that is singular in floating point.
+    The non-terminal forms of one minimal yield make a layer, taken lowest
+    first, and each rewrite stays in its layer or moves up.  Within a layer,
+    the rewrites of positive probability between its forms split it into
+    strongly connected components, visited sources first
+    (:func:`_components`).  A form on no such cycle passes its inflow on as
+    its visits; each component with a cycle gets one dense solve of its
+    own, unless it receives no mass or is *closed*: no rewrite of positive
+    probability leads out of it, to another form, a terminal string or out
+    of the bound.  Mass that enters a closed component never leaves, so it
+    is absorbed by no string.  A solve that is singular in floating point
+    raises ``ValueError``.
     """
     forms = list(reach.parents)  # a completed search expanded each one
     escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
     terminal = [not r and form.is_all_terminal() for form, r in zip(forms, reach.rewrites)]
-    size = [len(form.symbols) for form in forms]
+    yields = reach.yields
     # Each non-terminal form's rewrites as (child id, probability); a form
     # with no rewrite, or zero mass, gets none.  ``inner`` keeps the
-    # positive ones to a non-terminal form of the same length.
+    # positive ones to a non-terminal form of the same minimal yield.
     edges: list[list[tuple[int, float]]] = [[] for _ in forms]
     inner: dict[int, list[int]] = {}
     layers: dict[int, list[int]] = {}
     for i, rewrites in enumerate(reach.rewrites):
         if terminal[i]:
             continue
-        length = size[i]
-        layers.setdefault(length, []).append(i)
+        level = yields[i]
+        layers.setdefault(level, []).append(i)
         raw = [wg.weights[index] for index, _ in rewrites]
         for (_, child), p in _renormalized(rewrites, raw):
             if child is None:
                 child = escaped
-            elif terminal[child]:
-                pass  # the string absorbs this mass
-            elif size[child] < length:
-                raise ValueError(
-                    f"erasure into non-terminal form {forms[child]} is unsupported "
-                    "for exact probabilities"
-                )
-            elif size[child] == length and p > 0.0:
+            elif yields[child] == level and p > 0.0 and not terminal[child]:
                 inner.setdefault(i, []).append(child)
             edges[i].append((child, p))
 
@@ -282,8 +277,8 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
             for child, p in edges[i]:
                 mass[child] += visits * p
 
-    for length in sorted(layers):
-        layer = layers[length]
+    for level in sorted(layers):
+        layer = layers[level]
         if not any(mass[i] for i in layer):
             continue
         for component in _components(layer, inner):
@@ -292,11 +287,11 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
                 pass_on(first, mass[first])
                 continue
             within = {f: k for k, f in enumerate(component)}
-            if all(child in within for f in component for child, p in edges[f] if p > 0.0):
-                raise ValueError("probability mass trapped in a same-length cycle")
             inflow = [mass[f] for f in component]
-            if not any(inflow):
-                continue
+            if not any(inflow) or all(
+                child in within for f in component for child, p in edges[f] if p > 0.0
+            ):
+                continue  # nothing enters, or nothing leaves
             q = np.zeros((len(component), len(component)))
             for k, f in enumerate(component):
                 for child, p in edges[f]:
@@ -305,7 +300,7 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
             try:
                 visits = np.linalg.solve(np.eye(len(component)) - q.T, inflow)
             except np.linalg.LinAlgError:
-                raise ValueError("probability mass trapped in a same-length cycle") from None
+                raise ValueError("a cycle's solve is singular in floating point") from None
             for k, f in enumerate(component):
                 pass_on(f, float(visits[k]))
     return {forms[i]: mass[i] for i in range(escaped) if terminal[i]}

@@ -4,29 +4,34 @@ The reference that the float probabilities of :mod:`lcsg.stochastic` are
 measured against.  It reads the same search record as the library's sweep,
 the forms in breadth-first order and the rewrites of each as (production
 index, child id or ``None``), and turns every weight into a ``Fraction``;
-``Fraction(float)`` is exact.  The non-terminal forms of one length make a
-layer, swept shortest first.  Each layer is split into the strongly
-connected components of its positive same-length rewrites (Kosaraju's two
-passes), taken sources first, and each component that receives mass solves
-``(I - Q^T) x = inflow`` for its visits by Gauss-Jordan elimination.
+``Fraction(float)`` is exact.  The non-terminal forms of one minimal yield
+make a layer, swept lowest first; the yield is computed here from
+``_search_profile``'s nullable set, not read from the record.  Each layer
+is split into the strongly connected components of its positive
+same-layer rewrites (Kosaraju's two passes), taken sources first, and
+each component that receives mass solves ``(I - Q^T) x = inflow`` for its
+visits by Gauss-Jordan elimination.
 
 A component's block of ``I - Q^T`` is singular exactly when the component
 holds a cycle and every member's probabilities, summed exactly over its
-rewrites into the component, come to 1.  Such a component traps its mass.
-In exact arithmetic a layer receives mass exactly when a path of positive
-rewrites leads into it from the start form, so that is decided first, from
-the graph: a sweep that meets a trapping component in such a layer raises
-``ValueError``, as the library does, before any solve.  A solve can cost
-the cube of its component's size in ever longer fractions, so a caller
-may cap the size of the components solved; a larger one raises
-:class:`ComponentTooLargeError`.
+rewrites into the component, come to 1.  Such a component traps its mass:
+it is decided from those exact sums, before any solve, and what enters it
+stays there and counts as residual.  A solve can cost the cube of its
+component's size in ever longer fractions, so a caller may cap the size of
+the components solved; a larger one raises :class:`ComponentTooLargeError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lcsg.derivation import DEFAULT_FUEL, FuelExhaustedError, _bounded_reachability, enumerate_language
+from lcsg.derivation import (
+    DEFAULT_FUEL,
+    FuelExhaustedError,
+    _bounded_reachability,
+    _search_profile,
+    enumerate_language,
+)
 from lcsg.stochastic import WeightedGrammar
 from lcsg.symbols import SymbolString
 
@@ -49,17 +54,15 @@ def absorption(
     wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL, most: int | None = None
 ) -> dict[SymbolString, Fraction]:
     """The exact absorbed mass of every terminal string of length at most
-    ``bound``; components of more than ``most`` forms are not solved."""
+    ``bound``.  A component that traps its mass keeps what enters it, and
+    one of more than ``most`` forms that receives mass is not solved."""
     forms, edges, layers, components = _graph(wg, bound, fuel)
-    if _trapped(edges, layers, components):
-        raise ValueError("probability mass trapped in a same-length cycle")
-
     absorbed = {i: Fraction(0) for i in range(len(forms)) if i not in edges}
     mass = {i: Fraction(0) for i in edges}
     mass[0] = Fraction(1)
-    for length in sorted(layers):
-        for component in components[length]:
-            if not any(mass[f] for f in component):
+    for level in sorted(layers):
+        for component in components[level]:
+            if not any(mass[f] for f in component) or _traps(component, edges):
                 continue
             if most is not None and len(component) > most:
                 raise ComponentTooLargeError(f"a component of {len(component)} forms receives mass")
@@ -84,62 +87,36 @@ def absorption(
     return {forms[i]: p for i, p in absorbed.items()}
 
 
-def traps(wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL) -> bool:
-    """A layer that mass reaches holds a component that traps its mass, in
-    the sweep that :func:`exact_distribution` runs at ``bound``."""
-    longest = max((len(w) for w in _support(wg, bound, fuel)), default=0)
-    return _trapped(*_graph(wg, longest, fuel)[1:])
-
-
 def _graph(wg: WeightedGrammar, bound: int, fuel: int):
     """The search's forms, each non-terminal form's rewrites as (child id,
-    exact probability), the non-terminal ids of each length, and each
-    layer's components, sources first."""
+    exact probability), the non-terminal ids of each minimal yield, and
+    each layer's components, sources first."""
     reach = _bounded_reachability(wg.grammar, bound, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
     forms = list(reach.parents)
+    nullable = _search_profile(wg.grammar)
+    least = [sum(s not in nullable for s in form) for form in forms]
     weights = [Fraction(w) for w in wg.weights]
     edges: dict[int, list[tuple[int, Fraction]]] = {}  # non-terminal forms only
     for i, rewrites in enumerate(reach.rewrites):
         if forms[i].is_all_terminal():
             continue
         total = sum((weights[index] for index, _ in rewrites), Fraction(0))
-        out = []
-        for index, child in rewrites if total else ():
-            if child is None:
-                continue  # the mass leaves the bound
-            if len(forms[child]) < len(forms[i]) and not forms[child].is_all_terminal():
-                raise ValueError(
-                    f"erasure into non-terminal form {forms[child]} is unsupported "
-                    "for exact probabilities"
-                )
-            out.append((child, weights[index] / total))
-        edges[i] = out
+        edges[i] = [  # a child of None leaves the bound, and its mass with it
+            (child, weights[index] / total)
+            for index, child in rewrites
+            if total and child is not None
+        ]
 
     layers: dict[int, list[int]] = {}
     for i in edges:
-        layers.setdefault(len(forms[i]), []).append(i)
+        layers.setdefault(least[i], []).append(i)
     components = {}
-    for length, layer in layers.items():
-        same = {i: [c for c, p in edges[i] if c in edges and len(forms[c]) == length and p > 0] for i in layer}
-        components[length] = _components_sources_first(layer, same)
+    for level, layer in layers.items():
+        same = {i: [c for c, p in edges[i] if c in edges and least[c] == level and p > 0] for i in layer}
+        components[level] = _components_sources_first(layer, same)
     return forms, edges, layers, components
-
-
-def _trapped(edges, layers, components) -> bool:
-    """A layer that a path of positive rewrites from the start form reaches
-    holds a component that :func:`_traps` its mass."""
-    reached, todo = {0}, [0]
-    while todo:
-        for child, p in edges.get(todo.pop(), ()):
-            if p > 0 and child not in reached:
-                reached.add(child)
-                todo.append(child)
-    return any(
-        reached.intersection(layer) and any(_traps(c, edges) for c in components[length])
-        for length, layer in layers.items()
-    )
 
 
 def _traps(component: list[int], edges: dict[int, list[tuple[int, Fraction]]]) -> bool:
@@ -219,8 +196,7 @@ def exact_distribution(
 ) -> tuple[dict[SymbolString, Fraction], Fraction]:
     """The exact probabilities of the support up to ``bound``, and the residual.
 
-    Like the library, it sweeps at the longest string of the support, so a
-    cycle that only longer forms reach traps nothing here.
+    Like the library, it sweeps at the longest string of the support.
     """
     support = _support(wg, bound, fuel)
     absorbed = absorption(wg, max((len(w) for w in support), default=0), fuel, most)

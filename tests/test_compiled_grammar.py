@@ -146,18 +146,17 @@ def test_two_weightings_of_one_grammar_never_share_a_sweep(monkeypatch):
 
 
 ONE_WORD = "start: S\nterminals: a\nnonterminals: S\nS -> a\n"
-ERASING = "start: S\nterminals: a\nnonterminals: S A\nS -> A A\nA -> a\nA -> _\n"
-TRAPPED = "start: S\nterminals: a\nnonterminals: S A B\nS -> A\nA -> B\nB -> A\nS -> a\n"
+# B -> B renormalizes to 1.0 in floats, so the solve of its cycle is singular.
+FLOAT_SINGULAR = "start: S\nterminals: a\nnonterminals: S B\nS -> B\nB -> B p=1e20\nB -> a\n"
 
 
 @pytest.mark.parametrize(
     "text, fuel, error",
     [
         (ONE_WORD, 0, FuelExhaustedError),
-        (ERASING, DEFAULT_FUEL, ValueError),
-        (TRAPPED, DEFAULT_FUEL, ValueError),
+        (FLOAT_SINGULAR, DEFAULT_FUEL, ValueError),
     ],
-    ids=["fuel", "erasure", "trapped"],
+    ids=["fuel", "singular"],
 )
 def test_a_sweep_that_raises_is_not_kept(text, fuel, error):
     wg = WeightedGrammar.from_grammar(parse_grammar(text))

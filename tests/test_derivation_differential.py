@@ -6,7 +6,8 @@ sliced and compared, and searches are cached by the whole grammar.  The
 library must give the same ``successors`` list, in the same (position,
 production index) order, the same search tree (the parent map in insertion
 order, so also the same BFS order, each kept step read as the oracle's
-parent tuple), and the same exception type where the oracle raises.
+parent tuple), the minimal yield the oracle computes for each kept form,
+and the same exception type where the oracle raises.
 
 The search records its rewrites with a loop of its own, not through
 ``successors``, so each search here also checks that record against
@@ -35,7 +36,7 @@ from lcsg import (
     successors,
     terminal,
 )
-from lcsg.derivation import DEFAULT_FUEL, _bounded_reachability
+from lcsg.derivation import DEFAULT_FUEL, _bounded_reachability, _search_profile
 
 SEARCH_FUEL = 150  # small, so that erasing grammars whose forms grow stop quickly
 
@@ -80,6 +81,8 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
     assert not isinstance(got, type), got
     assert got.completed == want.completed
     assert list(got.parents) == list(want.parents)
+    nullable = _search_profile(g)
+    assert got.yields == [oracle._min_yield(form, nullable) for form in got.parents]
     for form, step in got.parents.items():
         if step is None:
             assert want.parents[form] is None

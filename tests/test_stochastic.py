@@ -168,20 +168,25 @@ def test_same_length_cycles_are_solved_exactly():
     )
 
 
-def test_trapped_cycle_mass_is_an_error():
+def test_trapped_cycle_mass_is_residual():
     wg = wg_from(
         "start: S\nterminals: a\nnonterminals: S A B\nS -> A\nA -> B\nB -> A\nS -> a\n"
     )
-    with pytest.raises(ValueError, match="trapped"):
-        string_probability(wg, wg.grammar.string_of(["a"]))
+    # the half that enters the A/B cycle never leaves it
+    assert string_probability(wg, wg.grammar.string_of(["a"])) == 0.5
+    assert exact_distribution(wg, 1).residual == 0.5
 
 
-def test_erasure_into_nonterminal_forms_is_refused():
+def test_erasure_into_nonterminal_forms_is_swept():
     wg = wg_from(
         "start: S\nterminals: a\nnonterminals: S A\nS -> A A\nA -> a\nA -> _\n"
     )
-    with pytest.raises(ValueError, match="erasure"):
-        string_probability(wg, wg.grammar.string_of(["a"]))
+    # S, A A and A share the layer of minimal yield 0; a A and A a are at 1
+    assert string_probability(wg, wg.grammar.string_of(["a"])) == 0.5
+    d = exact_distribution(wg, 2)
+    got = [(str(w), p) for w, p in d.probabilities.items()]
+    assert got == [("_", 0.25), ("a", 0.5), ("a a", 0.25)]
+    assert d.residual == 0.0
 
 
 def test_string_probability_rejects_nonterminal_strings(loop):
@@ -447,11 +452,31 @@ UNREACHED_TRAP = (
 )
 
 
-def test_a_closed_cycle_in_a_layer_with_mass_raises_even_unreached():
+def test_a_closed_cycle_that_no_mass_reaches_traps_nothing():
     wg = wg_from(UNREACHED_TRAP)
-    for exact in (exact_distribution, stochastic_oracle.exact_distribution, rational.exact_distribution):
-        with pytest.raises(ValueError, match="trapped"):
-            exact(wg, 2)
+    a = wg.grammar.string_of(["a"])
+    assert exact_distribution(wg, 2).probabilities == {a: 1.0}
+    assert rational.exact_distribution(wg, 2) == ({a: 1}, 0)
+    # The dense oracle solves the whole layer, whose closed block is singular.
+    with pytest.raises(ValueError, match="trapped"):
+        stochastic_oracle.exact_distribution(wg, 2)
+
+
+# The closed A/B cycle sits in the layer of length 2, past the support {a}
+# that exact_distribution sweeps to; string_probability sweeps to 2.
+CLOSED_PAST_THE_SUPPORT = (
+    "start: S\nterminals: a\nnonterminals: S A B\n"
+    "S -> a\nS -> A A\nA -> B\nB -> A\n"
+)
+
+
+def test_a_sweep_past_the_support_agrees_with_exact_distribution():
+    wg = wg_from(CLOSED_PAST_THE_SUPPORT)
+    a, aa = (wg.grammar.string_of(["a"] * n) for n in (1, 2))
+    d = exact_distribution(wg, 2)
+    assert (d.probabilities, d.residual) == ({a: 0.5}, 0.5)
+    assert string_probability(wg, aa) == 0.0
+    assert string_probability(wg, a) == 0.5
 
 
 # B -> B renormalizes to 1.0 in floats, so the solve is singular, though
@@ -462,12 +487,13 @@ FLOAT_SINGULAR = (
 )
 
 
-def test_a_float_singular_solve_raises_trapped():
+def test_a_float_singular_solve_raises_singular():
     wg = wg_from(FLOAT_SINGULAR)
-    for exact in (exact_distribution, stochastic_oracle.exact_distribution):
-        with pytest.raises(ValueError, match="trapped"):
-            exact(wg, 1)
-    assert not rational.traps(wg, 1)
+    with pytest.raises(ValueError, match="singular"):
+        exact_distribution(wg, 1)
+    with pytest.raises(ValueError, match="trapped"):
+        stochastic_oracle.exact_distribution(wg, 1)
+    assert rational.exact_distribution(wg, 1) == ({wg.grammar.string_of(["a"]): 1}, 0)
 
 
 # The layer of length 2 is one closed cycle, and S reaches it only by weight 0.

@@ -1,25 +1,33 @@
-"""Exact probabilities from one sweep agree with the per-string oracle, a
-kept sweep agrees with a cold one, and the sampler agrees with inverse CDF
-sampling over ``normalize_weights``.
+"""Exact probabilities from one sweep agree with the per-string oracle and
+the rational reference, a kept sweep agrees with a cold one, and the sampler
+agrees with inverse CDF sampling over ``normalize_weights``.
 
 ``stochastic_oracle`` holds the per-string ``exact_distribution`` and
 ``string_probability`` that re-explore the bounded form space for every
 string and solve each same-length layer densely in floats.
-``rational_oracle`` sweeps the same search in exact rational arithmetic.
-Where the oracle returns, the library must return the same support with
-every probability and the residual within 1e-12, and every probability
-within ``rational_oracle.RELATIVE`` of the exact one.  At the first and
-last string of the support, ``string_probability`` must lie within 1e-12
-of the oracle's and equal the library's own ``exact_distribution`` entry
-bit for bit.  Where the oracle raises, the library must raise the same
-exception type.  The library may raise where the oracle returns in one
-case only: its error says the mass is trapped, and the rational reference
-finds a trapping cycle in a layer that mass reaches.  The library decides a
-trapped cycle from its graph, and a float solve can miss one.  A
-``string_probability`` read from a sweep kept on the grammar must equal, bit
-for bit, the one a fresh parse computes cold.  Likewise
-``sample_derivation`` must take the very steps of ``reference_sample``, or
-raise the same exception type.
+``rational_oracle`` sweeps the same search in exact rational arithmetic,
+in layers of minimal yield, and counts mass trapped in a closed cycle as
+residual, as the library does.  Where the oracle returns, the library must
+return the same support with every probability and the residual within
+1e-12.  Where the oracle raises, the library must raise the same exception
+type, except for a ``ValueError``: the oracle refuses erasure into a
+non-terminal form and every layer whose float solve is singular, a closed
+cycle's included, and there the library must return.  Either way every
+library probability must lie within ``rational_oracle.RELATIVE`` of the
+exact one and the residual within 1e-12 of it, unless a component that
+receives mass is too large to solve exactly.  At the first and last string
+of the support, ``string_probability`` must equal the library's own
+``exact_distribution`` entry bit for bit, and lie within 1e-12 of the
+oracle's where the oracle returns.  A ``string_probability`` read from a
+sweep kept on the grammar must equal, bit for bit, the one a fresh parse
+computes cold.  Likewise ``sample_derivation`` must take the very steps of
+``reference_sample``, or raise the same exception type.
+
+``assert_same_distribution`` tags each drawn example with
+``hypothesis.event``: which reference decided (``dense``, ``rational``, or
+``none`` where a component is beyond ``MOST``), the support size and the
+length of the longest string, so that ``--hypothesis-show-statistics``
+shows what the drawn tests reach.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, currently_in_test_context, event, given, settings
+from hypothesis import strategies as st
 
 import rational_oracle as rational
 from rational_oracle import within_relative
@@ -60,35 +69,47 @@ def outcome(f, *args):
         return type(exc)
 
 
+def tag(name: str, value) -> None:
+    """``hypothesis.event`` in a drawn example; nothing in a parametrized test."""
+    if currently_in_test_context():
+        event(name, value)
+
+
 def assert_same_distribution(wg: WeightedGrammar, bound: int) -> None:
     want = outcome(oracle.exact_distribution, wg, bound)
     got = outcome(exact_distribution, wg, bound)
-    if isinstance(want, type):
+    if isinstance(want, type) and want is not ValueError:
+        tag("reference", "dense")
         assert got is want
         return
-    if got is ValueError and rational.traps(wg, bound):
-        # The library decides a trapped cycle from its graph.  The oracle's
-        # float solve misses one whose rows round below 1, such as three
-        # self-loops ``B -> B`` weighted 0.5, 2 and 0.5; exact arithmetic decides.
-        with pytest.raises(ValueError, match="trapped"):
-            exact_distribution(wg, bound)
-        return
     assert not isinstance(got, type), got
+    support = list(got.probabilities)
+    tag("support size", len(support))
+    if support:
+        tag("longest string", len(support[-1]))
+    exact = outcome(rational.exact_distribution, wg, bound, DEFAULT_FUEL, MOST)
+    if exact is not rational.ComponentTooLargeError:
+        assert not isinstance(exact, type), exact
+        probabilities, residual = exact
+        assert list(probabilities) == support
+        for w, p in probabilities.items():
+            assert within_relative(got.probabilities[w], p), (w, got.probabilities[w], p)
+        assert abs(got.residual - residual) <= TOLERANCE
+    for w in support[:1] + support[-1:]:
+        assert string_probability(wg, w) == got.probabilities[w]
+    if want is ValueError:
+        # The oracle refuses erasure into a non-terminal form and every
+        # layer whose float solve is singular: the rational reference decides.
+        tag("reference", "none" if exact is rational.ComponentTooLargeError else "rational")
+        return
+    tag("reference", "dense")
     assert got.bound == want.bound
     assert list(got.probabilities) == list(want.probabilities)
     for w, p in want.probabilities.items():
         assert abs(got.probabilities[w] - p) <= TOLERANCE, (w, got.probabilities[w], p)
     assert abs(got.residual - want.residual) <= TOLERANCE
-    support = list(want.probabilities)
-    exact = outcome(rational.absorption, wg, max((len(w) for w in support), default=0), DEFAULT_FUEL, MOST)
-    if exact is not rational.ComponentTooLargeError:
-        assert not isinstance(exact, type), exact
-        for w, p in got.probabilities.items():
-            assert within_relative(p, exact[w]), (w, p, exact[w])
     for w in support[:1] + support[-1:]:
-        p = string_probability(wg, w)
-        assert p == got.probabilities[w]
-        assert abs(oracle.string_probability(wg, w) - p) <= TOLERANCE
+        assert abs(oracle.string_probability(wg, w) - got.probabilities[w]) <= TOLERANCE
 
 
 @pytest.mark.parametrize(
@@ -143,9 +164,9 @@ def test_a_support_shorter_than_the_bound_matches_the_oracle():
     [
         # the permitted start erasure beside left context-sensitive rewrites
         ("S -> _\nS -> a A\na A -> a b A p=2\na A -> a b\n", 6),
-        # erasure into a non-terminal form is refused
+        # erasure into a non-terminal form, which the oracle refuses
         ("S -> A A\nA -> a\nA -> _\n", 2),
-        # a same-length cycle that traps its mass
+        # a same-length cycle that traps its mass, which the oracle refuses
         ("S -> A\nA -> B\nB -> A\nS -> a\n", 1),
         # the same cycle, which only a sweep at the bound, 3, would reach
         ("S -> a\nS -> b A\nA -> B\nB -> A\n", 3),
@@ -254,6 +275,39 @@ def test_context_free_grammars_match_the_oracle(closing, productions, bound):
 )
 def test_erasing_context_free_grammars_match_the_oracle(closing, productions, bound):
     assert_same_distribution(weighted(closing + productions), bound)
+
+
+@st.composite
+def ordered_production_st(draw):
+    """A production whose right side holds up to two terminals and up to two
+    nonterminals later than its left side in S, A, B, in any order, or is
+    empty.  No nonterminal derives itself, so every form stays finite."""
+    i = draw(st.integers(min_value=0, max_value=len(NONTERMINALS) - 1))
+    later = NONTERMINALS[i + 1:]
+    nonterminals = draw(st.lists(st.sampled_from(later), max_size=2)) if later else []
+    rhs = draw(st.permutations(draw(st.lists(terminal_st, max_size=2)) + nonterminals))
+    return [NONTERMINALS[i]], rhs, draw(weight_st)
+
+
+# S -> two of A and B, so that erasing one of them can leave a non-terminal form.
+pair_production_st = st.tuples(
+    st.just(["S"]), st.lists(st.sampled_from(NONTERMINALS[1:]), min_size=2, max_size=2), weight_st
+)
+
+
+@small
+@given(
+    closing=closing_st(0),
+    pair=pair_production_st,
+    productions=st.lists(ordered_production_st(), min_size=1, max_size=4),
+    bound=st.integers(min_value=1, max_value=6),  # at 0 the support is at most the empty string
+)
+def test_erasing_grammars_with_two_nonterminals_match_the_rational_reference(
+    closing, pair, productions, bound
+):
+    # The dense oracle refuses most draws, which erase into non-terminal
+    # forms; there the rational reference decides.
+    assert_same_distribution(weighted(closing + [pair] + productions), bound)
 
 
 @small
