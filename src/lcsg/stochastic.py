@@ -27,16 +27,16 @@ component, not of the layer, and its time with the cube of each
 component, so a layer of thousands of forms in small cycles is cheap, and
 a layer without a cycle makes no LAPACK call.  Mass that enters a cycle
 with no way out stays there, as residual.  ``exact_distribution`` reads
-every string of its support from one such sweep.  The sweep explores
-nothing itself: it reads its forms, their minimal yields and the rewrites
-of each from the grammar's cached bounded search, the one that also
-serves ``derives_bounded`` and ``enumerate_language``, and so shares that
-search's fuel and its 16-entry bound per grammar object.  The search also
-decides which rewrites leave the bound.  Each cached search keeps the last sweep over it with the
-weights it read, so the first ``string_probability`` per grammar object,
-weights and length pays for the whole bounded language and later ones at
-that length are look-ups; so is ``string_probability`` at the longest
-string of a support after ``exact_distribution``.
+its support and every probability from one search and one sweep at its
+bound.  The sweep explores nothing itself: it reads its forms, their
+minimal yields and the rewrites of each from the grammar's cached bounded
+search, the one that also serves ``derives_bounded`` and
+``enumerate_language``, so it shares that search's fuel and its 16-entry
+bound per grammar object, and the search decides which rewrites leave the
+bound.  Each cached search keeps the last sweep over it with the weights it
+read, so the first ``string_probability`` per grammar object, weights and
+length pays for the whole bounded language and later ones at that length
+are look-ups, as is one at the bound's length after ``exact_distribution``.
 ``_renormalized`` is the one home of renormalization, for the sampler's
 steps and the sweep's edges alike.
 """
@@ -57,7 +57,6 @@ from .derivation import (
     _compiled,
     _Reachability,
     _rewrites,
-    enumerate_language,
 )
 from .grammar import Grammar
 from .symbols import SymbolString, shortlex
@@ -222,15 +221,14 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
 
     The sweep reads its forms, their minimal yields and their rewrites from
     ``reach`` and expands no form itself.  The search keeps the forms whose
-    minimal yield fits its bound, and records a rewrite to any other form
+    minimal yield fits its bound and records a rewrite to any other form
     with the child ``None``: its weight counts in the renormalization at its
-    form, as in ``normalize_weights``, and its mass escapes the bound.  For
-    all three accepted grammar shapes, no rewrite into a non-terminal form
-    lowers the minimal yield.  So one sweep serves every length up to the
-    bound: every form on a derivation of a shorter ``w``, and every
-    ancestor of such a form, is kept at the larger bound too, while the
-    forms added by the larger bound cannot derive ``w``.  The linear system
-    that determines ``w``'s mass is unchanged.
+    form, as in ``normalize_weights``, and its mass escapes the bound.  In
+    all three accepted grammar shapes no rewrite into a non-terminal form
+    lowers the minimal yield, so one sweep serves every length up to the
+    bound: a larger bound keeps every form that derives a shorter ``w`` and
+    its ancestors, adds only forms that cannot, and leaves the linear system
+    that determines ``w``'s mass unchanged.
 
     Edges, layers and mass live in lists indexed by the search's form ids.
     The non-terminal forms of one minimal yield make a layer, taken lowest
@@ -239,11 +237,14 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     strongly connected components, visited sources first
     (:func:`_components`).  A form on no such cycle passes its inflow on as
     its visits; each component with a cycle gets one dense solve of its
-    own, unless it receives no mass or is *closed*: no rewrite of positive
-    probability leads out of it, to another form, a terminal string or out
-    of the bound.  Mass that enters a closed component never leaves, so it
-    is absorbed by no string.  A solve that is singular in floating point
-    raises ``ValueError``.
+    own, unless it receives no mass, or its layer lies above the longest
+    terminal string kept, so that its mass reaches no string and a solve
+    could only raise, or it is *closed*: no rewrite of positive probability
+    leads out of it, to another form, a terminal string or out of the
+    bound.  Mass that enters a closed component is absorbed by no string.
+    Above that string only the solve is skipped, not the layer: beside
+    multi-symbol left sides, an erasing start form has minimal yield 1 yet
+    rewrites to the empty string.  A float-singular solve raises ``ValueError``.
     """
     forms = list(reach.parents)  # a completed search expanded each one
     escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
@@ -255,8 +256,10 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     edges: list[list[tuple[int, float]]] = [[] for _ in forms]
     inner: dict[int, list[int]] = {}
     layers: dict[int, list[int]] = {}
+    top = 0  # the length of the longest terminal string kept
     for i, rewrites in enumerate(reach.rewrites):
         if terminal[i]:
+            top = max(top, yields[i])
             continue
         level = yields[i]
         layers.setdefault(level, []).append(i)
@@ -288,10 +291,10 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
                 continue
             within = {f: k for k, f in enumerate(component)}
             inflow = [mass[f] for f in component]
-            if not any(inflow) or all(
+            if level > top or not any(inflow) or all(
                 child in within for f in component for child, p in edges[f] if p > 0.0
             ):
-                continue  # nothing enters, or nothing leaves
+                continue  # it reaches no string, nothing enters, or nothing leaves
             q = np.zeros((len(component), len(component)))
             for k, f in enumerate(component):
                 for child, p in edges[f]:
@@ -367,12 +370,9 @@ def string_probability(
 def exact_distribution(
     wg: WeightedGrammar, bound: int, fuel: int = DEFAULT_FUEL
 ) -> StringDistribution:
-    """The exact distribution over derivable strings up to ``bound``."""
-    support = sorted(enumerate_language(wg.grammar, bound, fuel), key=shortlex)
-    # One sweep at the longest derivable length, the largest one a
-    # per-string computation would run, serves every string in the support.
-    absorbed = _absorption(wg, max((len(w) for w in support), default=0), fuel)
-    probabilities = {w: absorbed.get(w, 0.0) for w in support}
+    """One search and one sweep at ``bound`` give the exact distribution up to it."""
+    absorbed = _absorption(wg, bound, fuel)
+    probabilities = {w: absorbed[w] for w in sorted(absorbed, key=shortlex)}
     residual = max(0.0, 1.0 - sum(probabilities.values()))
     return StringDistribution(probabilities, bound, residual)
 

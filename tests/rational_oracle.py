@@ -1,8 +1,8 @@
 """Exact probabilities in rational arithmetic, with no rounding anywhere.
 
 The reference that the float probabilities of :mod:`lcsg.stochastic` are
-measured against.  It reads the same search record as the library's sweep,
-the forms in breadth-first order and the rewrites of each as (production
+measured against.  It reads a cached search record as the library's sweep
+does, the forms in breadth-first order and the rewrites of each as (production
 index, child id or ``None``), and turns every weight into a ``Fraction``;
 ``Fraction(float)`` is exact.  The non-terminal forms of one minimal yield
 make a layer, swept lowest first; the yield is computed here from
@@ -196,7 +196,10 @@ def exact_distribution(
 ) -> tuple[dict[SymbolString, Fraction], Fraction]:
     """The exact probabilities of the support up to ``bound``, and the residual.
 
-    Like the library, it sweeps at the longest string of the support.
+    It sweeps at the longest string of the support, while the library reads
+    support and probabilities from one sweep at ``bound``.  So the library
+    is compared with the other method, a sweep that holds no form whose
+    minimal yield exceeds that string.
     """
     support = _support(wg, bound, fuel)
     absorbed = absorption(wg, max((len(w) for w in support), default=0), fuel, most)

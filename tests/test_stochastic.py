@@ -325,7 +325,15 @@ def count_calls(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "name, bound", [("crossserial.grammar", 10), ("abc.grammar", 12), ("loop.grammar", 16)]
+    "name, bound",
+    [
+        ("crossserial.grammar", 10),
+        ("abc.grammar", 12),
+        ("loop.grammar", 16),
+        # supports whose longest strings, 12 and 3, are shorter than the bound
+        ("abc.grammar", 14),
+        ("chain.grammar", 9),
+    ],
 )
 def test_exact_probabilities_expand_no_form_themselves(name, bound, monkeypatch):
     want = exact_distribution(load_weighted(name), bound)
@@ -374,12 +382,11 @@ def test_a_repeated_length_is_a_look_up(monkeypatch):
     assert p_a + p_b == pytest.approx(0.5, abs=1e-12)
 
 
-def test_the_longest_string_after_exact_distribution_is_a_look_up(monkeypatch):
+def test_a_string_at_the_bound_after_exact_distribution_is_a_look_up(monkeypatch):
     calls = count_calls_and_solves(monkeypatch)
     wg = wg_from(TWO_IN_A_CYCLE)
-    d = exact_distribution(wg, 4)  # the longest string of the support has length 2
+    d = exact_distribution(wg, 2)
     ab = wg.grammar.string_of(["a", "b"])
-    assert max(len(w) for w in d.probabilities) == len(ab)
     calls.clear()
     assert string_probability(wg, ab) == d.probabilities[ab] == 0.5
     assert calls == []
@@ -506,8 +513,8 @@ UNREACHED_LAYER_TRAP = (
 def test_a_layer_without_mass_may_hold_a_closed_cycle():
     wg = wg_from(UNREACHED_LAYER_TRAP)
     a, aa = (wg.grammar.string_of(["a"] * n) for n in (1, 2))
-    # A sweep at bound 2; exact_distribution would sweep only to its longest string, a.
-    assert lcsg.stochastic._absorption(wg, 2, lcsg.derivation.DEFAULT_FUEL) == {a: 1.0}
+    # One sweep at bound 2, which holds the layer of length 2 and its cycle.
+    assert exact_distribution(wg, 2) == StringDistribution({a: 1.0}, 2, 0.0)
     assert string_probability(wg, aa) == stochastic_oracle.string_probability(wg, aa) == 0.0
     assert rational.absorption(wg, 2) == {a: 1}
 

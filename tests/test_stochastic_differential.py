@@ -15,10 +15,12 @@ non-terminal form and every layer whose float solve is singular, a closed
 cycle's included, and there the library must return.  Either way every
 library probability must lie within ``rational_oracle.RELATIVE`` of the
 exact one and the residual within 1e-12 of it, unless a component that
-receives mass is too large to solve exactly.  At the first and last string
-of the support, ``string_probability`` must equal the library's own
-``exact_distribution`` entry bit for bit, and lie within 1e-12 of the
-oracle's where the oracle returns.  A ``string_probability`` read from a
+receives mass is too large to solve exactly.  At the first string of each
+length in the support, ``string_probability``, which sweeps at that length,
+must equal the library's own ``exact_distribution`` entry, read from one
+sweep at the bound, bit for bit, and so it must at the last string of the
+support.  At the first and last it must also lie within 1e-12 of the oracle's
+where the oracle returns.  A ``string_probability`` read from a
 sweep kept on the grammar must equal, bit for bit, the one a fresh parse
 computes cold.  Likewise ``sample_derivation`` must take the very steps of
 ``reference_sample``, or raise the same exception type.
@@ -95,7 +97,8 @@ def assert_same_distribution(wg: WeightedGrammar, bound: int) -> None:
         for w, p in probabilities.items():
             assert within_relative(got.probabilities[w], p), (w, got.probabilities[w], p)
         assert abs(got.residual - residual) <= TOLERANCE
-    for w in support[:1] + support[-1:]:
+    firsts = [w for k, w in enumerate(support) if k == 0 or len(support[k - 1]) < len(w)]
+    for w in firsts + support[-1:]:
         assert string_probability(wg, w) == got.probabilities[w]
     if want is ValueError:
         # The oracle refuses erasure into a non-terminal form and every
@@ -172,6 +175,13 @@ def test_a_support_shorter_than_the_bound_matches_the_oracle():
         ("S -> a\nS -> b A\nA -> B\nB -> A\n", 3),
         # a self-loop that traps its mass, although its float row sums below 1
         ("S -> a p=0.5\nS -> B p=0.5\nB -> B p=0.5\nB -> B p=2\nB -> B p=0.5\n", 1),
+        # cycles whose float solve is singular, in layers above the support,
+        # which a sweep at the bound must not solve: one beside the start
+        # form's own layer, which still feeds the empty string
+        ("S -> a\nS -> A B\nA B -> A B p=1e20\nA B -> b b b\n", 2),
+        ("S -> _\nS -> A\nA -> A p=1e20\nA -> b b\na B -> a b\n", 1),
+        # the start form's own such self-loop above an empty support
+        ("S -> S p=1e20\nS -> a a\n", 1),
     ],
 )
 def test_edge_shapes_match_the_oracle(productions, bound):
