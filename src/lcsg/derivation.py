@@ -36,11 +36,11 @@ kept from a call that raises: a search that runs out of fuel returns and
 is kept, but a sweep over it raises and is not.  The view is freed with
 its grammar and is never pickled.
 
-For each form it reaches, a search keeps the :class:`DerivationStep` that
-first reached it and one int, the form's minimal yield.  The trace
-``derives_bounded`` returns is the chain of those steps back to the start.
-Each form it reaches has an id: its place in breadth-first order, which is
-the order of those parent links.  For each form it expands, the search
+Each form a search reaches gets an id, its place in breadth-first order,
+from the one map keyed by forms, on their symbol tuples.  By id, the search
+keeps the form, the :class:`DerivationStep` that first reached it and one
+int, its minimal yield; the trace ``derives_bounded`` returns is the chain
+of those steps back to the start.  For each form it expands, the search
 also records every rewrite in successor order, as the production index and
 the child's id, or ``None`` where the child leaves the bound.  Exact
 probabilities read their edges from this record as a graph over ids, and
@@ -62,7 +62,7 @@ from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
 # Searches kept per grammar: room for one query length after another up to
-# 15, while a grammar's parent maps stay bounded (the module docstring gives
+# 15, while a grammar's search records stay bounded (the module docstring gives
 # the bound on the forms and rewrites that one search keeps).
 _SEARCH_CACHE_SIZE = 16
 
@@ -189,16 +189,17 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
 
 @dataclass
 class _Reachability:
-    # Each form the search reached -> the step that first reached it, None
-    # for the start form; a trace is the chain of these steps back to it.
-    parents: dict[SymbolString, DerivationStep | None]
-    # A form's id is its place in breadth-first order, the order of
-    # ``parents``' keys.  The minimal yield of the form with id i, which the
-    # bound applies to, and its rewrites, in successor order: (production
-    # index, the child's id, or None where the child leaves the bound).
+    # A form's id is its place in breadth-first order; ``ids`` maps each
+    # form's symbols to it, and the lists are indexed by it: the form, the
+    # step that first reached it (None for the start form), its minimal
+    # yield, and for each form expanded its rewrites in successor order as
+    # (production index, the child's id, or None where it leaves the bound).
+    ids: dict[tuple[Symbol, ...], int]
+    forms: list[SymbolString]
+    steps: list[DerivationStep | None]
     yields: list[int]
     rewrites: list[tuple[tuple[int, int | None], ...]]
-    completed: bool
+    completed: bool = False
     # The last exact-probability sweep over this search, as (weights, the
     # absorbed mass of each terminal string), or None before the first.
     sweep: tuple[tuple[float, ...], dict[SymbolString, float]] | None = None
@@ -269,30 +270,27 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
     if view.nullable is None:
         view.nullable = _search_profile(g)
     initial = SymbolString((g.start,))
-    parents: dict[SymbolString, DerivationStep | None] = {initial: None}
-    # The forms reached in breadth-first order, so a form's place is its id,
-    # the minimal yield of each, and the symbols of each -> that id.  The
-    # form to expand next is the one whose id is the number expanded so far.
-    forms: list[SymbolString] = [initial]
-    yields = [view.min_yield(initial.symbols)]
-    kept: dict[tuple[Symbol, ...], int] = {initial.symbols: 0}
-    rewrites: list[tuple[tuple[int, int | None], ...]] = []
+    ids, forms, steps = {initial.symbols: 0}, [initial], [None]
+    yields, rewrites = [view.min_yield(initial.symbols)], []
+    reach = _Reachability(ids, forms, steps, yields, rewrites)
+    # The form to expand next is the one whose id is the number expanded so far.
     while len(rewrites) < len(forms):
         if len(rewrites) >= fuel:
-            return _Reachability(parents, yields, rewrites, completed=False)
+            return reach
         form = forms[len(rewrites)]
         out: list[tuple[int, int | None]] = []
         for index, position, symbols in _rewrites(form.symbols, view.by_head):
-            child = kept.get(symbols)
+            child = ids.get(symbols)
             if child is None and (least := view.min_yield(symbols)) <= max_len:
-                child = kept[symbols] = len(forms)
+                child = ids[symbols] = len(forms)
                 after = SymbolString._of(symbols)
-                parents[after] = DerivationStep(form, index, position, after)
                 forms.append(after)
+                steps.append(DerivationStep(form, index, position, after))
                 yields.append(least)
             out.append((index, child))  # None: the rewrite leaves the bound
         rewrites.append(tuple(out))
-    return _Reachability(parents, yields, rewrites, completed=True)
+    reach.completed = True
+    return reach
 
 
 def derives_bounded(
@@ -308,12 +306,12 @@ def derives_bounded(
     if not target.is_all_terminal():
         raise ValueError(f"target must contain only terminals: {target}")
     reach = _bounded_reachability(g, len(target), fuel)
-    if target in reach.parents:
+    if (i := reach.ids.get(target.symbols)) is not None:
         steps: list[DerivationStep] = []
-        step = reach.parents[target]
+        step = reach.steps[i]
         while step is not None:
             steps.append(step)
-            step = reach.parents[step.before]
+            step = reach.steps[reach.ids[step.before.symbols]]
         return DerivationTrace(g, tuple(reversed(steps)))
     if reach.completed:
         return None
@@ -328,4 +326,4 @@ def enumerate_language(
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted enumerating up to length {max_len}")
     # A terminal form in the search fits the bound: its minimal yield is its length.
-    return {form for form in reach.parents if form.is_all_terminal()}
+    return {form for form in reach.forms if form.is_all_terminal()}

@@ -244,9 +244,13 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     bound.  Mass that enters a closed component is absorbed by no string.
     Above that string only the solve is skipped, not the layer: beside
     multi-symbol left sides, an erasing start form has minimal yield 1 yet
-    rewrites to the empty string.  A float-singular solve raises ``ValueError``.
+    rewrites to the empty string.  The solve's matrix is ``I - Q^T`` with
+    each diagonal entry the form's outflow, its probabilities summed over
+    every rewrite but a self-loop, not ``1 - q_kk``: a self-loop whose
+    probability rounds to 1 would cancel that outflow to 0 and give negative
+    mass.  A float-singular solve raises ``ValueError``.
     """
-    forms = list(reach.parents)  # a completed search expanded each one
+    forms = reach.forms  # a completed search expanded each one
     escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
     terminal = [not r and form.is_all_terminal() for form, r in zip(forms, reach.rewrites)]
     yields = reach.yields
@@ -295,13 +299,16 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
                 child in within for f in component for child, p in edges[f] if p > 0.0
             ):
                 continue  # it reaches no string, nothing enters, or nothing leaves
-            q = np.zeros((len(component), len(component)))
+            # I - Q^T, each diagonal entry the form's outflow (see above).
+            a = np.zeros((len(component), len(component)))
             for k, f in enumerate(component):
                 for child, p in edges[f]:
-                    if child in within:
-                        q[k, within[child]] += p
+                    if child != f:
+                        a[k, k] += p
+                        if child in within:
+                            a[within[child], k] -= p
             try:
-                visits = np.linalg.solve(np.eye(len(component)) - q.T, inflow)
+                visits = np.linalg.solve(a, inflow)
             except np.linalg.LinAlgError:
                 raise ValueError("a cycle's solve is singular in floating point") from None
             for k, f in enumerate(component):

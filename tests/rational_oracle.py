@@ -94,7 +94,7 @@ def _graph(wg: WeightedGrammar, bound: int, fuel: int):
     reach = _bounded_reachability(wg.grammar, bound, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-    forms = list(reach.parents)
+    forms = reach.forms
     nullable = _search_profile(wg.grammar)
     least = [sum(s not in nullable for s in form) for form in forms]
     weights = [Fraction(w) for w in wg.weights]

@@ -1,10 +1,11 @@
 """The compiled view a grammar holds, the strings a search and the sampler
-wrap, its one search cache with the sweep each search keeps, and pickling.
+wrap, the forms a search never hashes, its one search cache with the sweep
+each search keeps, and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
 over it, until the grammar itself is freed.  The cache never travels in a
-pickle: str hashes differ between processes, and a parent map can hold
+pickle: str hashes differ between processes, and a search record can hold
 ``DEFAULT_FUEL`` forms and more.
 """
 
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
 import lcsg.stochastic
@@ -25,6 +27,7 @@ from lcsg import (
     FuelExhaustedError,
     SymbolString,
     WeightedGrammar,
+    derives_bounded,
     enumerate_language,
     nonterminal,
     parse_grammar,
@@ -84,8 +87,27 @@ def test_a_cold_search_wraps_only_the_forms_it_keeps(monkeypatch):
     wrapped = count_wraps(monkeypatch)
     reach = _bounded_reachability(g, 10, DEFAULT_FUEL)
     # One per kept form but the start form, which is built checked.
-    assert len(wrapped) == len(reach.parents) - 1
+    assert len(wrapped) == len(reach.forms) - 1
     assert sum(len(rewrites) for rewrites in reach.rewrites) > len(wrapped)
+
+
+def test_a_search_and_the_queries_it_serves_hash_no_form(monkeypatch):
+    g = load_grammar("abc.grammar")
+    member = g.string_of(["a"] * 5 + ["b"] * 5 + ["c"] * 5)
+    other = g.string_of(["a"] * 5 + ["b"] * 4 + ["c"] * 6)
+    hashed: list[SymbolString] = []
+    hash_ = SymbolString.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return hash_(self)
+
+    monkeypatch.setattr(SymbolString, "__hash__", counted)
+    # Forms are found by their symbol tuples: the search keys nothing by form.
+    _bounded_reachability(g, 15, DEFAULT_FUEL)
+    assert len(derives_bounded(g, member).steps) > 20
+    assert derives_bounded(g, other) is None
+    assert hashed == []
 
 
 def test_the_sampler_wraps_only_the_steps_it_draws(monkeypatch):
@@ -146,19 +168,22 @@ def test_two_weightings_of_one_grammar_never_share_a_sweep(monkeypatch):
 
 
 ONE_WORD = "start: S\nterminals: a\nnonterminals: S\nS -> a\n"
-# B -> B renormalizes to 1.0 in floats, so the solve of its cycle is singular.
-FLOAT_SINGULAR = "start: S\nterminals: a\nnonterminals: S B\nS -> B\nB -> B p=1e20\nB -> a\n"
+SELF_LOOP = "start: S\nterminals: a\nnonterminals: S B\nS -> B\nB -> B\nB -> a\n"
 
 
 @pytest.mark.parametrize(
     "text, fuel, error",
     [
         (ONE_WORD, 0, FuelExhaustedError),
-        (FLOAT_SINGULAR, DEFAULT_FUEL, ValueError),
+        (SELF_LOOP, DEFAULT_FUEL, ValueError),
     ],
     ids=["fuel", "singular"],
 )
-def test_a_sweep_that_raises_is_not_kept(text, fuel, error):
+def test_a_sweep_that_raises_is_not_kept(text, fuel, error, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)  # B's self-loop makes one solve
     wg = WeightedGrammar.from_grammar(parse_grammar(text))
     w = wg.grammar.string_of(["a"])
     for _ in range(2):
@@ -171,26 +196,26 @@ def test_a_sweep_that_raises_is_not_kept(text, fuel, error):
 def test_a_completed_search_keeps_at_most_fuel_forms():
     reach = _bounded_reachability(parse_grammar(THREE_WORDS), 1, 4)
     assert reach.completed
-    assert len(reach.parents) == 4
+    assert len(reach.forms) == 4
 
 
 def test_a_search_out_of_fuel_also_keeps_the_forms_it_did_not_expand():
     # One form expanded, into three rewrites: fuel times three, plus one.
     reach = _bounded_reachability(parse_grammar(THREE_WORDS), 1, 1)
     assert not reach.completed
-    assert len(reach.parents) == 1 * 3 + 1
+    assert len(reach.forms) == 1 * 3 + 1
 
 
 def test_both_search_bounds_hold_at_every_fuel():
     g = load_grammar("crossserial.grammar")  # 25 forms at length 6
     for fuel in range(1, 30):
         reach = _bounded_reachability(g, 6, fuel)
-        expanded = list(reach.parents)[:fuel]
+        expanded = reach.forms[:fuel]
         most = max(len(successors(form, g)) for form in expanded)
         if reach.completed:
-            assert len(reach.parents) <= fuel
+            assert len(reach.forms) <= fuel
         else:
-            assert len(reach.parents) <= fuel * most + 1
+            assert len(reach.forms) <= fuel * most + 1
         assert sum(len(rewrites) for rewrites in reach.rewrites) <= fuel * most
 
 
@@ -237,7 +262,7 @@ def test_a_searched_grammar_pickles_without_its_caches():
     w = g.string_of("a a b b c c".split())
     p = string_probability(wg, w)
     enumerate_language(g, 9)
-    assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].parents) > 30
+    assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].forms) > 30
     assert _compiled(g).searches[(6, DEFAULT_FUEL)].sweep[0] == wg.weights
     blob = pickle.dumps(g)
     assert len(blob) == len(blob_before)

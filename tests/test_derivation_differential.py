@@ -4,16 +4,17 @@
 were before grammars were compiled: every (position, production) pair is
 sliced and compared, and searches are cached by the whole grammar.  The
 library must give the same ``successors`` list, in the same (position,
-production index) order, the same search tree (the parent map in insertion
-order, so also the same BFS order, each kept step read as the oracle's
-parent tuple), the minimal yield the oracle computes for each kept form,
-and the same exception type where the oracle raises.
+production index) order, the same search tree (the forms in the order of
+the oracle's parent map, so also the same BFS order, each kept step read
+as the oracle's parent tuple), the minimal yield the oracle computes for
+each kept form, and the same exception type where the oracle raises.
 
 The search records its rewrites with a loop of its own, not through
 ``successors``, so each search here also checks that record against
 ``successors``: the same rewrites in the same order, each child the id of
-the kept form equal to the successor's result (its place in the parent
-map's insertion order), or ``None`` exactly where that form is not kept.
+the kept form equal to the successor's result (its place in the search's
+breadth-first order, which the id map must invert), or ``None`` exactly
+where that form is not kept.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def assert_same_successors(form: SymbolString, g: Grammar) -> None:
 
 
 def assert_rewrites_match_successors(g: Grammar, reach) -> None:
-    forms = list(reach.parents)  # a form's id is its place here
+    forms = reach.forms  # a form's id is its place here
+    assert reach.ids == {form.symbols: i for i, form in enumerate(forms)}
+    kept = set(forms)
     assert len(reach.rewrites) <= len(forms)
     if reach.completed:
         assert len(reach.rewrites) == len(forms)
@@ -65,7 +68,7 @@ def assert_rewrites_match_successors(g: Grammar, reach) -> None:
         steps = successors(form, g)
         assert [index for index, _ in rewrites] == [s.production_index for s in steps]
         for (_, child), step in zip(rewrites, steps):
-            if step.after in reach.parents:
+            if step.after in kept:
                 assert type(child) is int and 0 <= child < len(forms)
                 assert forms[child] == step.after
             else:
@@ -80,10 +83,11 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
         return
     assert not isinstance(got, type), got
     assert got.completed == want.completed
-    assert list(got.parents) == list(want.parents)
+    assert got.forms == list(want.parents)
     nullable = _search_profile(g)
-    assert got.yields == [oracle._min_yield(form, nullable) for form in got.parents]
-    for form, step in got.parents.items():
+    assert got.yields == [oracle._min_yield(form, nullable) for form in got.forms]
+    assert len(got.steps) == len(got.forms)
+    for form, step in zip(got.forms, got.steps):
         if step is None:
             assert want.parents[form] is None
         else:

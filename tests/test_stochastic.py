@@ -486,21 +486,31 @@ def test_a_sweep_past_the_support_agrees_with_exact_distribution():
     assert string_probability(wg, a) == 0.5
 
 
-# B -> B renormalizes to 1.0 in floats, so the solve is singular, though
-# the exact rational weights leave the cycle with probability 1e-20.
+# B -> B renormalizes to 1.0 in floats, though the exact rational weights
+# leave the cycle with probability 1e-20: 1 - q_BB would be 0.
 FLOAT_SINGULAR = (
     "start: S\nterminals: a\nnonterminals: S B\n"
     "S -> B\nB -> B p=1e20\nB -> a\n"
 )
 
 
-def test_a_float_singular_solve_raises_singular():
+def test_a_self_loop_that_rounds_to_one_keeps_its_outflow():
     wg = wg_from(FLOAT_SINGULAR)
-    with pytest.raises(ValueError, match="singular"):
-        exact_distribution(wg, 1)
+    a = wg.grammar.string_of(["a"])
+    assert exact_distribution(wg, 1) == StringDistribution({a: 1.0}, 1, 0.0)
+    assert rational.exact_distribution(wg, 1) == ({a: 1}, 0)
+    # The dense oracle builds its diagonal as 1 - q_BB, and refuses.
     with pytest.raises(ValueError, match="trapped"):
         stochastic_oracle.exact_distribution(wg, 1)
-    assert rational.exact_distribution(wg, 1) == ({wg.grammar.string_of(["a"]): 1}, 0)
+
+
+def test_a_singular_solve_raises_value_error(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ValueError, match="singular"):
+        exact_distribution(wg_from(TWO_IN_A_CYCLE), 2)
 
 
 # The layer of length 2 is one closed cycle, and S reaches it only by weight 0.

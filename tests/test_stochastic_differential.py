@@ -27,9 +27,10 @@ computes cold.  Likewise ``sample_derivation`` must take the very steps of
 
 ``assert_same_distribution`` tags each drawn example with
 ``hypothesis.event``: which reference decided (``dense``, ``rational``, or
-``none`` where a component is beyond ``MOST``), the support size and the
-length of the longest string, so that ``--hypothesis-show-statistics``
-shows what the drawn tests reach.
+``none`` where a component is beyond ``MOST``), the support size, the
+length of the longest string and the number of forms in the largest cyclic
+component of the sweep at the bound (0 where none), so that
+``--hypothesis-show-statistics`` shows what the drawn tests reach.
 """
 
 from __future__ import annotations
@@ -77,6 +78,21 @@ def tag(name: str, value) -> None:
         event(name, value)
 
 
+def largest_cycle(wg: WeightedGrammar, bound: int) -> int:
+    """The forms in the largest component of the sweep at ``bound`` that
+    holds a cycle of positive probability, or 0 where none does."""
+    _, edges, _, components = rational._graph(wg, bound, DEFAULT_FUEL)
+    return max(
+        (
+            len(c)
+            for layer in components.values()
+            for c in layer
+            if len(c) > 1 or any(child == c[0] and p > 0 for child, p in edges[c[0]])
+        ),
+        default=0,
+    )
+
+
 def assert_same_distribution(wg: WeightedGrammar, bound: int) -> None:
     want = outcome(oracle.exact_distribution, wg, bound)
     got = outcome(exact_distribution, wg, bound)
@@ -89,6 +105,8 @@ def assert_same_distribution(wg: WeightedGrammar, bound: int) -> None:
     tag("support size", len(support))
     if support:
         tag("longest string", len(support[-1]))
+    if currently_in_test_context():  # only drawn examples pay for the exact graph
+        tag("largest cyclic component", largest_cycle(wg, bound))
     exact = outcome(rational.exact_distribution, wg, bound, DEFAULT_FUEL, MOST)
     if exact is not rational.ComponentTooLargeError:
         assert not isinstance(exact, type), exact
@@ -175,13 +193,27 @@ def test_a_support_shorter_than_the_bound_matches_the_oracle():
         ("S -> a\nS -> b A\nA -> B\nB -> A\n", 3),
         # a self-loop that traps its mass, although its float row sums below 1
         ("S -> a p=0.5\nS -> B p=0.5\nB -> B p=0.5\nB -> B p=2\nB -> B p=0.5\n", 1),
-        # cycles whose float solve is singular, in layers above the support,
-        # which a sweep at the bound must not solve: one beside the start
-        # form's own layer, which still feeds the empty string
+        # cycles in layers above the support, which a sweep at the bound
+        # does not solve: one beside the start form's own layer, which
+        # still feeds the empty string
         ("S -> a\nS -> A B\nA B -> A B p=1e20\nA B -> b b b\n", 2),
         ("S -> _\nS -> A\nA -> A p=1e20\nA -> b b\na B -> a b\n", 1),
         # the start form's own such self-loop above an empty support
         ("S -> S p=1e20\nS -> a a\n", 1),
+        # two forms in such a cycle, whose float solve would be singular
+        (
+            "S -> a\nS -> A B\nA B -> B A p=1e20\nB A -> A B p=1e20\n"
+            "A B -> b b b\nB A -> b b b\n",
+            2,
+        ),
+        # a self-loop whose probability rounds to 1 inside a cycle that
+        # receives mass: 1 - q_SS would lose S's outflow, and the dense
+        # oracle, built so, refuses
+        (
+            "S -> b a p=0.5\nS -> A p=2\nS -> S p=1e20\n"
+            "A -> B b p=2\nA -> S p=3\nA -> B\nB -> b b\n",
+            4,
+        ),
     ],
 )
 def test_edge_shapes_match_the_oracle(productions, bound):
