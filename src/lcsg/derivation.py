@@ -38,19 +38,19 @@ its grammar and is never pickled.
 
 Each form a search reaches gets an id, its place in breadth-first order,
 from the one map keyed by forms, on their symbol tuples.  By id, the search
-keeps the form, the :class:`DerivationStep` that first reached it and one
-int, its minimal yield; the trace ``derives_bounded`` returns is the chain
-of those steps back to the start.  For each form it expands, the search
-also records every rewrite in successor order, as the production index and
-the child's id, or ``None`` where the child leaves the bound.  Exact
-probabilities read their edges from this record as a graph over ids, and
-their layers from the yields; they expand no form themselves and look a
-form up only for the terminal strings they absorb.  A search expands at
-most ``fuel`` forms, so a completed search keeps at most ``fuel`` forms,
-each with its step and its int; one that runs out of fuel also keeps the
-forms it reached but did not expand, up to ``fuel`` times the largest
-number of rewrites of one form, plus one.  Either way it records at most
-``fuel`` times that number of rewrites, each a pair of an index and an id.
+keeps the form and the :class:`DerivationStep` that first reached it; the
+trace ``derives_bounded`` returns is the chain of those steps back to the
+start.  For each form it expands, the search also records every rewrite in
+successor order, as the production index and the child's id, or ``None``
+where the child leaves the bound.  Exact probabilities read this record as
+one graph over ids, swept in one topological order of its cycles; they
+expand no form themselves and look a form up only for the terminal strings
+they absorb.  A search expands at most ``fuel`` forms, so a completed
+search keeps at most ``fuel`` forms, each with its step; one that runs out
+of fuel also keeps the forms it reached but did not expand, up to ``fuel``
+times the largest number of rewrites of one form, plus one.  Either way it
+records at most ``fuel`` times that number of rewrites, each a pair of an
+index and an id.
 """
 
 from __future__ import annotations
@@ -191,13 +191,12 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
 class _Reachability:
     # A form's id is its place in breadth-first order; ``ids`` maps each
     # form's symbols to it, and the lists are indexed by it: the form, the
-    # step that first reached it (None for the start form), its minimal
-    # yield, and for each form expanded its rewrites in successor order as
-    # (production index, the child's id, or None where it leaves the bound).
+    # step that first reached it (None for the start form), and for each
+    # form expanded its rewrites in successor order as (production index,
+    # the child's id, or None where it leaves the bound).
     ids: dict[tuple[Symbol, ...], int]
     forms: list[SymbolString]
     steps: list[DerivationStep | None]
-    yields: list[int]
     rewrites: list[tuple[tuple[int, int | None], ...]]
     completed: bool = False
     # The last exact-probability sweep over this search, as (weights, the
@@ -270,9 +269,8 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
     if view.nullable is None:
         view.nullable = _search_profile(g)
     initial = SymbolString((g.start,))
-    ids, forms, steps = {initial.symbols: 0}, [initial], [None]
-    yields, rewrites = [view.min_yield(initial.symbols)], []
-    reach = _Reachability(ids, forms, steps, yields, rewrites)
+    ids, forms, steps, rewrites = {initial.symbols: 0}, [initial], [None], []
+    reach = _Reachability(ids, forms, steps, rewrites)
     # The form to expand next is the one whose id is the number expanded so far.
     while len(rewrites) < len(forms):
         if len(rewrites) >= fuel:
@@ -281,12 +279,11 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         out: list[tuple[int, int | None]] = []
         for index, position, symbols in _rewrites(form.symbols, view.by_head):
             child = ids.get(symbols)
-            if child is None and (least := view.min_yield(symbols)) <= max_len:
+            if child is None and view.min_yield(symbols) <= max_len:
                 child = ids[symbols] = len(forms)
                 after = SymbolString._of(symbols)
                 forms.append(after)
                 steps.append(DerivationStep(form, index, position, after))
-                yields.append(least)
             out.append((index, child))  # None: the rewrite leaves the bound
         rewrites.append(tuple(out))
     reach.completed = True

@@ -13,23 +13,23 @@ draws.  Identical seeds therefore yield identical traces on every platform.
 
 ``string_probability`` computes the exact total probability of a terminal
 string: the sum over all complete derivations of the product of step
-probabilities.  The computation sweeps reachable forms in layers of
-increasing minimal yield, the measure the search bounds, over the integer
-ids the search gives its forms.  Within a layer, the rewrites between its
-forms split it into strongly connected components (Tarjan 1972), visited
-sources first.  A form on no cycle passes its inflow on directly; the mass
-that cycles within a component is resolved by one dense float64 solve
-(``numpy.linalg.solve``, that is LAPACK) over that component alone.  The
-solve is direct, not iterative, but it is floating point: results are
-exact only up to rounding, measured within 1e-13 of exact rational
-arithmetic in the tests.  Its memory grows with the square of the largest
-component, not of the layer, and its time with the cube of each
-component, so a layer of thousands of forms in small cycles is cheap, and
-a layer without a cycle makes no LAPACK call.  Mass that enters a cycle
-with no way out stays there, as residual.  ``exact_distribution`` reads
-its support and every probability from one search and one sweep at its
-bound.  The sweep explores nothing itself: it reads its forms, their
-minimal yields and the rewrites of each from the grammar's cached bounded
+probabilities.  The computation sweeps the reachable forms once, over the
+integer ids the search gives them: the rewrites between non-terminal forms
+split them into strongly connected components (Tarjan 1972), visited
+sources first.  A component whose mass can reach no kept string is
+skipped: the mass that enters a cycle with no way out, or leaves the bound
+from it, stays out of every string, as residual.  A form on no cycle
+passes its inflow on directly; the mass that cycles within a component is
+resolved by one dense float64 solve (``numpy.linalg.solve``, that is
+LAPACK) over that component alone.  The solve is direct, not iterative,
+but it is floating point: results are exact only up to rounding, measured
+within 1e-13 of exact rational arithmetic in the tests.  Its memory grows
+with the square of the largest component, not of the graph, and its time
+with the cube of each component, so thousands of forms in small cycles are
+cheap, and a graph without a cycle makes no LAPACK call.
+``exact_distribution`` reads its support and every probability from one
+search and one sweep at its bound.  The sweep explores nothing itself: it
+reads its forms and the rewrites of each from the grammar's cached bounded
 search, the one that also serves ``derives_bounded`` and
 ``enumerate_language``, so it shares that search's fuel and its 16-entry
 bound per grammar object, and the search decides which rewrites leave the
@@ -202,9 +202,10 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
     The grammar's cached search at ``(bound, fuel)`` keeps the last sweep
     over it, with the weights it read, for reuse under equal weights only:
     two weightings never share a sweep.  Callers must not change the dict
-    returned.  Mass trapped in a closed cycle, like mass that leaves the
-    bound, is absorbed by no string.  A sweep that raises is not kept, so
-    it raises again on the next call.
+    returned.  Mass in a component that reaches no kept string, a cycle
+    with no way out among them, is absorbed by no string, like mass that
+    leaves the bound.  A sweep that raises is not kept, so it raises again
+    on the next call.
     """
     reach = _bounded_reachability(wg.grammar, bound, fuel)
     if reach.sweep is None or reach.sweep[0] != wg.weights:
@@ -219,61 +220,59 @@ def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString
 def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, float]:
     """``_absorption``'s sweep over the completed search ``reach``, run afresh.
 
-    The sweep reads its forms, their minimal yields and their rewrites from
-    ``reach`` and expands no form itself.  The search keeps the forms whose
-    minimal yield fits its bound and records a rewrite to any other form
-    with the child ``None``: its weight counts in the renormalization at its
-    form, as in ``normalize_weights``, and its mass escapes the bound.  In
-    all three accepted grammar shapes no rewrite into a non-terminal form
-    lowers the minimal yield, so one sweep serves every length up to the
-    bound: a larger bound keeps every form that derives a shorter ``w`` and
-    its ancestors, adds only forms that cannot, and leaves the linear system
+    The sweep reads its forms and their rewrites from ``reach`` and expands
+    no form itself.  The search keeps the forms whose minimal yield fits its
+    bound and records a rewrite to any other form with the child ``None``:
+    its weight counts in the renormalization at its form, as in
+    ``normalize_weights``, and its mass escapes the bound.  In all three
+    accepted grammar shapes no rewrite into a non-terminal form lowers the
+    minimal yield, so one sweep serves every length up to the bound: a
+    larger bound keeps every form that derives a shorter ``w`` and its
+    ancestors, adds only forms that cannot, and leaves the linear system
     that determines ``w``'s mass unchanged.
 
-    Edges, layers and mass live in lists indexed by the search's form ids.
-    The non-terminal forms of one minimal yield make a layer, taken lowest
-    first, and each rewrite stays in its layer or moves up.  Within a layer,
-    the rewrites of positive probability between its forms split it into
-    strongly connected components, visited sources first
-    (:func:`_components`).  A form on no such cycle passes its inflow on as
-    its visits; each component with a cycle gets one dense solve of its
-    own, unless it receives no mass, or its layer lies above the longest
-    terminal string kept, so that its mass reaches no string and a solve
-    could only raise, or it is *closed*: no rewrite of positive probability
-    leads out of it, to another form, a terminal string or out of the
-    bound.  Mass that enters a closed component is absorbed by no string.
-    Above that string only the solve is skipped, not the layer: beside
-    multi-symbol left sides, an erasing start form has minimal yield 1 yet
-    rewrites to the empty string.  The solve's matrix is ``I - Q^T`` with
-    each diagonal entry the form's outflow, its probabilities summed over
-    every rewrite but a self-loop, not ``1 - q_kk``: a self-loop whose
-    probability rounds to 1 would cancel that outflow to 0 and give negative
-    mass.  A float-singular solve raises ``ValueError``.
+    Edges and mass live in lists indexed by the search's form ids.  The
+    rewrites of positive probability between non-terminal forms split them
+    into strongly connected components, visited once, sources first
+    (:func:`_components`), so each component has its whole inflow when the
+    sweep reaches it.  One rule decides what is skipped: a component is
+    *live* when a rewrite of positive probability leads from it to a kept
+    terminal string or to a live component.  The mass of any other
+    component reaches no string, so the sweep skips it whole: a cycle with
+    no way out and one above the longest string kept are both dead, and
+    need no solve that could only raise.  A live form on no cycle passes
+    its inflow on as its visits; a live component with a cycle gets one
+    dense solve of its own, unless it receives no mass.  The solve's matrix
+    is ``I - Q^T`` with each diagonal entry the form's outflow, its
+    probabilities summed over every rewrite but a self-loop, not
+    ``1 - q_kk``: a self-loop whose probability rounds to 1 would cancel
+    that outflow to 0 and give negative mass.  A float-singular solve
+    raises ``ValueError``.
     """
     forms = reach.forms  # a completed search expanded each one
     escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
     terminal = [not r and form.is_all_terminal() for form, r in zip(forms, reach.rewrites)]
-    yields = reach.yields
     # Each non-terminal form's rewrites as (child id, probability); a form
     # with no rewrite, or zero mass, gets none.  ``inner`` keeps the
-    # positive ones to a non-terminal form of the same minimal yield.
+    # positive ones to a non-terminal form.
     edges: list[list[tuple[int, float]]] = [[] for _ in forms]
-    inner: dict[int, list[int]] = {}
-    layers: dict[int, list[int]] = {}
-    top = 0  # the length of the longest terminal string kept
+    inner: list[list[int]] = [[] for _ in forms]
     for i, rewrites in enumerate(reach.rewrites):
         if terminal[i]:
-            top = max(top, yields[i])
             continue
-        level = yields[i]
-        layers.setdefault(level, []).append(i)
         raw = [wg.weights[index] for index, _ in rewrites]
         for (_, child), p in _renormalized(rewrites, raw):
             if child is None:
                 child = escaped
-            elif yields[child] == level and p > 0.0 and not terminal[child]:
-                inner.setdefault(i, []).append(child)
+            elif p > 0.0 and not terminal[child]:
+                inner[i].append(child)
             edges[i].append((child, p))
+    components = _components([i for i in range(escaped) if not terminal[i]], inner)
+    live = terminal + [False]  # sinks first, each component after all it reaches
+    for component in reversed(components):
+        alive = any(live[child] for f in component for child, p in edges[f] if p > 0.0)
+        for f in component:
+            live[f] = alive
 
     mass = [0.0] * (escaped + 1)  # a terminal string's mass is what it absorbs
     mass[0] = 1.0
@@ -284,41 +283,38 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
             for child, p in edges[i]:
                 mass[child] += visits * p
 
-    for level in sorted(layers):
-        layer = layers[level]
-        if not any(mass[i] for i in layer):
+    for component in components:
+        first = component[0]
+        if not live[first]:
             continue
-        for component in _components(layer, inner):
-            first = component[0]
-            if len(component) == 1 and first not in inner.get(first, ()):
-                pass_on(first, mass[first])
-                continue
-            within = {f: k for k, f in enumerate(component)}
-            inflow = [mass[f] for f in component]
-            if level > top or not any(inflow) or all(
-                child in within for f in component for child, p in edges[f] if p > 0.0
-            ):
-                continue  # it reaches no string, nothing enters, or nothing leaves
-            # I - Q^T, each diagonal entry the form's outflow (see above).
-            a = np.zeros((len(component), len(component)))
-            for k, f in enumerate(component):
-                for child, p in edges[f]:
-                    if child != f:
-                        a[k, k] += p
-                        if child in within:
-                            a[within[child], k] -= p
-            try:
-                visits = np.linalg.solve(a, inflow)
-            except np.linalg.LinAlgError:
-                raise ValueError("a cycle's solve is singular in floating point") from None
-            for k, f in enumerate(component):
-                pass_on(f, float(visits[k]))
+        if len(component) == 1 and first not in inner[first]:
+            pass_on(first, mass[first])
+            continue
+        inflow = [mass[f] for f in component]
+        if not any(inflow):
+            continue
+        # I - Q^T, each diagonal entry the form's outflow (see above).
+        within = {f: k for k, f in enumerate(component)}
+        a = np.zeros((len(component), len(component)))
+        for k, f in enumerate(component):
+            for child, p in edges[f]:
+                if child != f:
+                    a[k, k] += p
+                    if child in within:
+                        a[within[child], k] -= p
+        try:
+            visits = np.linalg.solve(a, inflow)
+        except np.linalg.LinAlgError:
+            raise ValueError("a cycle's solve is singular in floating point") from None
+        for k, f in enumerate(component):
+            pass_on(f, float(visits[k]))
     return {forms[i]: mass[i] for i in range(escaped) if terminal[i]}
 
 
-def _components(layer: list[int], inner: dict[int, list[int]]) -> list[list[int]]:
-    """The strongly connected components of ``inner``'s edges among the ids
-    of ``layer``, sources first, each sorted by id.
+def _components(ids: list[int], inner: list[list[int]]) -> list[list[int]]:
+    """The strongly connected components of ``inner``'s edges among ``ids``,
+    sources first, each sorted by id; ``inner`` is indexed by id and its
+    edges stay among ``ids``.
 
     Tarjan (1972), with an explicit stack of (id, unvisited edges) instead of
     recursion.  Tarjan completes each component after every component it
@@ -326,24 +322,27 @@ def _components(layer: list[int], inner: dict[int, list[int]]) -> list[list[int]
     completed form's order becomes ``done``, later than every first visit,
     so an edge into a completed component lowers no low link.
     """
-    done = len(layer)
-    order: dict[int, int] = {}  # id -> the order of its first visit
-    low: dict[int, int] = {}
+    done = len(inner)
+    order = [-1] * done  # id -> the order of its first visit, -1 before it
+    low = [0] * done
+    visited = 0
     stack: list[int] = []
     components: list[list[int]] = []
-    for root in layer:
-        if root in order:
+    for root in ids:
+        if order[root] >= 0:
             continue
-        order[root] = low[root] = len(order)
+        order[root] = low[root] = visited
+        visited += 1
         stack.append(root)
-        work = [(root, iter(inner.get(root, ())))]
+        work = [(root, iter(inner[root]))]
         while work:
             v, children = work[-1]
             for w in children:
-                if w not in order:
-                    order[w] = low[w] = len(order)
+                if order[w] < 0:
+                    order[w] = low[w] = visited
+                    visited += 1
                     stack.append(w)
-                    work.append((w, iter(inner.get(w, ()))))
+                    work.append((w, iter(inner[w])))
                     break
                 if order[w] < low[v]:
                     low[v] = order[w]

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lcsg.derivation
 import lcsg.stochastic
@@ -535,21 +536,63 @@ CYCLE_WITHOUT_INFLOW = (
     "start: S\nterminals: a b\nnonterminals: S A B\n"
     "S -> a\nS -> b A\nS -> B B p=0\nB -> A\nA -> B\nA -> a\n"
 )
+# A <-> B receives half the mass, but every way out of it leaves bound 2,
+# so its mass reaches no string.
+DEAD_CYCLE = (
+    "start: S\nterminals: a b\nnonterminals: S A B\n"
+    "S -> a\nS -> A\nA -> B\nB -> A\nA -> b b b\nB -> b b b\n"
+)
 
 
-def test_a_cycle_without_inflow_gets_no_solve(monkeypatch):
-    wg = wg_from(CYCLE_WITHOUT_INFLOW)
+@pytest.mark.parametrize(
+    "text, sizes", [(CYCLE_WITHOUT_INFLOW, [2]), (DEAD_CYCLE, [])], ids=["no inflow", "dead"]
+)
+def test_a_cycle_without_inflow_gets_no_solve(monkeypatch, text, sizes):
+    wg = wg_from(text)
     want = stochastic_oracle.exact_distribution(wg, 2)
-    sizes: list[int] = []
+    solved: list[int] = []
     solve = np.linalg.solve
 
     def counted(a, b):
-        sizes.append(len(b))
+        solved.append(len(b))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     assert exact_distribution(wg, 2) == want
-    assert sizes == [2]
+    assert solved == sizes
+
+
+@st.composite
+def digraphs(draw):
+    """Up to 12 ids, some skipped, with edges (self-loops and repeats too)
+    among the rest, as ``_sweep`` gives ``_components`` its ids and ``inner``."""
+    n = draw(st.integers(0, 12))
+    skipped = draw(st.sets(st.integers(0, 11)))
+    ids = [i for i in range(n) if i not in skipped]
+    inner: list[list[int]] = [[] for _ in range(n)]
+    if ids:
+        for v, w in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))):
+            inner[v].append(w)
+    return ids, inner
+
+
+@given(digraphs())
+def test_components_are_strongly_connected_and_sources_first(graph):
+    ids, inner = graph
+    components = lcsg.stochastic._components(ids, inner)
+    assert sorted(f for c in components for f in c) == ids
+    assert all(c == sorted(c) for c in components)
+    place = {f: k for k, c in enumerate(components) for f in c}
+    # Brute-force closure: the ids each id reaches by zero or more edges.
+    reaches = {v: {v} for v in ids}
+    for _ in ids:
+        for v in ids:
+            reaches[v] |= {x for w in inner[v] for x in reaches[w]}
+    for v in ids:
+        for w in ids:
+            assert (place[v] == place[w]) == (w in reaches[v] and v in reaches[w])
+        for w in inner[v]:
+            assert place[v] <= place[w]
 
 
 def test_negative_bounds_and_step_limits_are_refused(loop):

@@ -214,6 +214,14 @@ def test_a_support_shorter_than_the_bound_matches_the_oracle():
             "A -> B b p=2\nA -> S p=3\nA -> B\nB -> b b\n",
             4,
         ),
+        # a cycle whose mass all escapes the bound: its 1e20 rewrites make
+        # its float solve singular, and a dead cycle gets none, while the
+        # dense oracle, which solves every layer, refuses
+        (
+            "S -> a\nS -> A\nA -> B p=1e20\nB -> A p=1e20\n"
+            "A -> b b b\nB -> b b b\n",
+            2,
+        ),
     ],
 )
 def test_edge_shapes_match_the_oracle(productions, bound):
