@@ -21,15 +21,14 @@ B_dyn to recover the final string.
 ``induce_grammar`` goes the other way for finite-state predictors: it
 walks the reachable states breadth-first up to a context-length horizon
 and writes each transition down as a static weighted production
-A_s -> tau A_s', with A_s -> lambda carrying the END probability.  States
-first reached exactly at the horizon keep only their lambda production.
-Every string shorter than the horizon therefore comes out with its exact
-probability, and so does a horizon-length string unless it ends in such a
-state: renormalizing gives that lambda production probability 1, so the
-string gets its prefix probability instead.  A horizon state whose END
-probability is 0 gets no production at all, so sampling can dead-end
-there.  Making the horizon exact is item 2 of ROADMAP.md.  One helper,
-``_fresh_nonterminal``, names every induced nonterminal, the start included.
+A_s -> tau A_s', with A_s -> lambda carrying the END probability.  A state
+first reached exactly at the horizon is not expanded: the mass of its
+tokens goes to one unit production A_s -> esc, and esc -> tau esc never
+ends.  So every string up to the horizon comes out with its exact
+probability, and the mass that would run past the horizon is the
+residual that no terminal string gets.  One helper,
+``_fresh_nonterminal``, names every induced nonterminal, the start and esc
+included.
 """
 
 from __future__ import annotations
@@ -306,12 +305,13 @@ def induce_grammar(
     state, a production A_s -> tau A_s' per positive-probability
     transition, A_s -> lambda weighted by the END probability, and a start
     production B -> A_s0 for the state reached on the empty context.
-    Exploration stops at contexts of ``max_context_len`` tokens; states
-    first reached there keep only their lambda production.  Strings shorter
-    than the horizon get their exact probabilities.  A horizon-length
-    string does too, unless it ends in a state first reached there: then
-    it gets its prefix probability.  Such a state with END probability 0
-    gets no production, so sampling can dead-end (ROADMAP.md, item 2).
+    Exploration stops at contexts of ``max_context_len`` tokens.  A state
+    first reached there with token mass m > 0 gets a unit production
+    A_s -> esc of weight m, where esc's one production ``esc -> tau esc``,
+    with tau the first vocabulary terminal, never ends; esc is added only
+    when some state needs it.  So every string up to the horizon gets its
+    exact probability, and sampling runs past the horizon until truncated
+    rather than dead-ending.
     """
     if not getattr(predictor, "finite_state", False):
         raise UnsupportedInfiniteStateError(
@@ -334,22 +334,25 @@ def induce_grammar(
         [(s0, (), dist0)]
     )
     productions: list[Production] = []
+    escape = EMPTY  # the form esc, once a horizon state needs it
     while queue:
         state, witness, dist = queue.popleft()
         lhs = SymbolString((visited[state],))
         at_horizon = len(witness) == max_context_len
+        mass = 0.0
         for token, p in dist.entries:
             if p <= 0.0:
                 continue
             if isinstance(token, EndOfSequence):
                 productions.append(Production(lhs, EMPTY, weight=p))
                 continue
-            if at_horizon:
-                continue
             if token.name not in known:
                 raise ValueError(
                     f"vocabulary does not cover reachable token {token.name!r}"
                 )
+            if at_horizon:
+                mass += p
+                continue
             grown = witness + (token,)
             dist2, s2 = predictor.next_distribution(state, SymbolString(grown))
             if s2 not in visited:
@@ -362,13 +365,19 @@ def induce_grammar(
             productions.append(
                 Production(lhs, SymbolString((token, visited[s2])), weight=p)
             )
-
+        if mass > 0.0:
+            if not escape:
+                esc = _fresh_nonterminal("esc", used)
+                escape = SymbolString((esc,))
+                loop = SymbolString((terminals[0], esc))
+                productions.append(Production(escape, loop, weight=1.0))
+            productions.append(Production(lhs, escape, weight=mass))
     start = _fresh_nonterminal("B", used)
     wiring = Production(
         SymbolString((start,)), SymbolString((visited[s0],)), weight=1.0
     )
     grammar = Grammar(
-        nonterminals={start} | set(visited.values()),
+        nonterminals={start, *visited.values(), *escape},
         terminals=set(terminals),
         start=start,
         productions=[wiring] + productions,

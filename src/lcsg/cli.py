@@ -64,24 +64,38 @@ def _load_grammar(path: str):
     return parse_grammar(Path(path).read_text())
 
 
+def _vocab(path: str):
+    return read_vocab(Path(path).read_text())
+
+
+# Each predictor family, the first the default: the option it needs, as
+# attribute and as flag, and how it is built.
+_PREDICTORS: dict[str, tuple[str, str, Callable[[argparse.Namespace], Predictor]]] = {
+    "grammar": (
+        "grammar",
+        "-g/--grammar",
+        lambda a: grammar_predictor(WeightedGrammar.from_grammar(_load_grammar(a.grammar))),
+    ),
+    "ngram": (
+        "corpus",
+        "--corpus",
+        lambda a: ngram_train(
+            read_corpus(Path(a.corpus).read_text()), a.k, _vocab(a.vocab) if a.vocab else None
+        ),
+    ),
+    "toy_attention": (
+        "vocab",
+        "--vocab",
+        lambda a: toy_attention_predictor(a.weights_seed, a.embed_dim, _vocab(a.vocab)),
+    ),
+}
+
+
 def _build_predictor(args: argparse.Namespace) -> Predictor:
-    if args.predictor == "grammar":
-        if args.grammar is None:
-            raise ValueError("--predictor grammar needs -g/--grammar")
-        wg = WeightedGrammar.from_grammar(_load_grammar(args.grammar))
-        return grammar_predictor(wg)
-    if args.predictor == "ngram":
-        if args.corpus is None:
-            raise ValueError("--predictor ngram needs --corpus")
-        corpus = read_corpus(Path(args.corpus).read_text())
-        vocab = read_vocab(Path(args.vocab).read_text()) if args.vocab else None
-        return ngram_train(corpus, args.k, vocab)
-    if args.predictor == "toy_attention":
-        if args.vocab is None:
-            raise ValueError("--predictor toy_attention needs --vocab")
-        vocab = read_vocab(Path(args.vocab).read_text())
-        return toy_attention_predictor(args.weights_seed, args.embed_dim, vocab)
-    raise ValueError(f"unknown predictor family {args.predictor!r}")
+    needed, flag, build = _PREDICTORS[args.predictor]
+    if getattr(args, needed) is None:
+        raise ValueError(f"--predictor {args.predictor} needs {flag}")
+    return build(args)
 
 
 def _parse_word(grammar, text: str) -> SymbolString:
@@ -195,26 +209,17 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple[str, int]:
     return f"counterexample: {verdict.counterexample}\n", EXIT_NEGATIVE
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "derive": _cmd_derive,
-    "enumerate": _cmd_enumerate,
-    "member": _cmd_member,
-    "sample": _cmd_sample,
-    "generate": _cmd_generate,
-    "extract": _cmd_extract,
-    "induce": _cmd_induce,
-    "equiv": _cmd_equiv,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcsg",
         description="grammar derivation, next-token generation, and the bridge between them",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        return p
 
     def grammar_arg(p):
         p.add_argument("-g", "--grammar", required=True, help="grammar file")
@@ -227,15 +232,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"search expansion budget (default {DEFAULT_FUEL})",
         )
 
-    def output_arg(p):
-        p.add_argument("-o", "--output", help="write output to this file instead of stdout")
-
     def predictor_args(p):
+        default = next(iter(_PREDICTORS))
         p.add_argument(
             "--predictor",
-            choices=("grammar", "ngram", "toy_attention"),
-            default="grammar",
-            help="predictor family (default grammar)",
+            choices=tuple(_PREDICTORS),
+            default=default,
+            help=f"predictor family (default {default})",
         )
         p.add_argument("-g", "--grammar", help="grammar file (grammar family)")
         p.add_argument("--corpus", help="training corpus file (ngram family)")
@@ -251,44 +254,36 @@ def _build_parser() -> argparse.ArgumentParser:
             help="seed for attention weights (default 0)",
         )
 
-    p = sub.add_parser("validate", help="check a grammar file")
-    grammar_arg(p)
-    output_arg(p)
+    grammar_arg(command("validate", _cmd_validate, "check a grammar file"))
 
-    p = sub.add_parser("classify", help="classify productions and grammar")
-    grammar_arg(p)
-    output_arg(p)
+    grammar_arg(command("classify", _cmd_classify, "classify productions and grammar"))
 
-    p = sub.add_parser("derive", help="one-step successors of a sentential form")
+    p = command("derive", _cmd_derive, "one-step successors of a sentential form")
     grammar_arg(p)
     p.add_argument("-w", "--word", required=True, help="sentential form, space-separated")
-    output_arg(p)
 
-    p = sub.add_parser("enumerate", help="terminal strings up to a length bound")
+    p = command("enumerate", _cmd_enumerate, "terminal strings up to a length bound")
     grammar_arg(p)
     p.add_argument("--max-len", type=int, default=6, help="length bound (default 6)")
     fuel_arg(p)
-    output_arg(p)
 
-    p = sub.add_parser("member", help="bounded membership with derivation trace")
+    p = command("member", _cmd_member, "bounded membership with derivation trace")
     grammar_arg(p)
     p.add_argument("-w", "--word", required=True, help="terminal string, space-separated")
     fuel_arg(p)
-    output_arg(p)
 
-    p = sub.add_parser("sample", help="sample one weighted derivation")
+    p = command("sample", _cmd_sample, "sample one weighted derivation")
     grammar_arg(p)
     p.add_argument("--seed", type=int, required=True, help="random seed (required)")
     p.add_argument(
         "--max-steps", type=int, default=1000, help="step budget (default 1000)"
     )
-    output_arg(p)
 
-    for name, help_text in (
-        ("generate", "run a predictor's generation loop"),
-        ("extract", "generate, then extract and check productions"),
+    for name, run, help_text in (
+        ("generate", _cmd_generate, "run a predictor's generation loop"),
+        ("extract", _cmd_extract, "generate, then extract and check productions"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = command(name, run, help_text)
         predictor_args(p)
         p.add_argument("--prompt", default="", help="prompt tokens (default empty)")
         p.add_argument(
@@ -302,9 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-t", type=int, default=32, help="step budget (default 32)"
         )
         p.add_argument("--window", type=int, help="sliding context window (default unbounded)")
-        output_arg(p)
 
-    p = sub.add_parser("induce", help="write a finite-state predictor down as a grammar")
+    p = command("induce", _cmd_induce, "write a finite-state predictor down as a grammar")
     predictor_args(p)
     p.add_argument(
         "--max-context-len",
@@ -315,15 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state-budget", type=int, default=10_000, help="state cap (default 10000)"
     )
-    output_arg(p)
 
-    p = sub.add_parser("equiv", help="compare two grammars up to a length bound")
+    p = command("equiv", _cmd_equiv, "compare two grammars up to a length bound")
     grammar_arg(p)
     p.add_argument("--grammar2", required=True, help="second grammar file")
     p.add_argument("--max-len", type=int, default=6, help="length bound (default 6)")
     fuel_arg(p)
-    output_arg(p)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output", help="write output to this file instead of stdout")
     return parser
 
 
@@ -339,7 +333,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
 
     try:
-        text, code = _COMMANDS[args.command](args)
+        text, code = args.run(args)
         if args.output is not None:
             Path(args.output).write_text(text)
     except (FuelExhaustedError, StateBudgetExceededError) as exc:

@@ -136,15 +136,8 @@ class ProductionClass(enum.Enum):
     UNRESTRICTED = "UNRESTRICTED"
 
 
-# Tightest first; classify_grammar scans this order.
-GRAMMAR_CLASS_ORDER: tuple[ProductionClass, ...] = (
-    ProductionClass.REGULAR,
-    ProductionClass.CONTEXT_FREE,
-    ProductionClass.LEFT_CS,
-    ProductionClass.STRICT_CS,
-    ProductionClass.MONOTONE,
-    ProductionClass.UNRESTRICTED,
-)
+# Tightest first, as the enum declares them; classify_grammar scans this order.
+GRAMMAR_CLASS_ORDER: tuple[ProductionClass, ...] = tuple(ProductionClass)
 
 
 def _left_cs_defect(lhs: tuple, rhs: tuple, ends_in_nonterminal: bool) -> str | None:
@@ -193,12 +186,14 @@ def classify_production(p: Production) -> frozenset[ProductionClass]:
 
 
 def classify_grammar(g: Grammar) -> ProductionClass:
-    """The tightest class that every production satisfies jointly."""
+    """The tightest class that every production satisfies jointly.
+
+    The scan always returns: every production is ``UNRESTRICTED``.
+    """
     per_production = [classify_production(p) for p in g.productions]
     for cls in GRAMMAR_CLASS_ORDER:
         if all(cls in classes for classes in per_production):
             return cls
-    return ProductionClass.UNRESTRICTED
 
 
 def _start_on_some_rhs(g: Grammar) -> bool:

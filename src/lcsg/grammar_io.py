@@ -58,8 +58,8 @@ def parse_grammar(text: str) -> Grammar:
     """Parse grammar text, raising :class:`GrammarParseError` on any defect."""
     start_name: str | None = None
     start_line = 0
-    terminal_names: dict[str, int] = {}
-    nonterminal_names: dict[str, int] = {}
+    # Each alphabet's names, with the line that declares each.
+    declared: dict[str, dict[str, int]] = {"terminals:": {}, "nonterminals:": {}}
     production_lines: list[tuple[int, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -73,30 +73,21 @@ def parse_grammar(text: str) -> Grammar:
             if len(names) != 1:
                 raise GrammarParseError("start takes exactly one symbol", lineno)
             start_name, start_line = names[0], lineno
-        elif line.startswith("terminals:"):
-            for name, col in _tokens_with_columns(raw.split(":", 1)[1]):
-                if name in terminal_names or name in nonterminal_names:
+        elif (head := line[: line.find(":") + 1]) in declared:
+            for name in line[len(head):].split():
+                if any(name in names for names in declared.values()):
                     raise GrammarParseError(f"duplicate symbol declaration: {name}", lineno)
-                terminal_names[name] = lineno
-        elif line.startswith("nonterminals:"):
-            for name, col in _tokens_with_columns(raw.split(":", 1)[1]):
-                if name in terminal_names or name in nonterminal_names:
-                    raise GrammarParseError(f"duplicate symbol declaration: {name}", lineno)
-                nonterminal_names[name] = lineno
+                declared[head][name] = lineno
         else:
             production_lines.append((lineno, raw))
 
     symbols: dict[str, Symbol] = {}
-    for name in terminal_names:
-        try:
-            symbols[name] = terminal(name)
-        except ValueError as exc:
-            raise GrammarParseError(str(exc), terminal_names[name]) from exc
-    for name in nonterminal_names:
-        try:
-            symbols[name] = nonterminal(name)
-        except ValueError as exc:
-            raise GrammarParseError(str(exc), nonterminal_names[name]) from exc
+    for head, make in (("terminals:", terminal), ("nonterminals:", nonterminal)):
+        for name, lineno in declared[head].items():
+            try:
+                symbols[name] = make(name)
+            except ValueError as exc:
+                raise GrammarParseError(str(exc), lineno) from exc
 
     def resolve(name: str, lineno: int, column: int) -> Symbol:
         try:
@@ -156,8 +147,8 @@ def parse_grammar(text: str) -> Grammar:
         raise GrammarParseError(f"start symbol is undeclared: {start_name}", start_line)
 
     return Grammar(
-        nonterminals=frozenset(symbols[n] for n in nonterminal_names),
-        terminals=frozenset(symbols[n] for n in terminal_names),
+        nonterminals=frozenset(symbols[n] for n in declared["nonterminals:"]),
+        terminals=frozenset(symbols[n] for n in declared["terminals:"]),
         start=symbols[start_name],
         productions=tuple(productions),
     )

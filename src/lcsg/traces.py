@@ -14,6 +14,9 @@ Three kinds, each one line per step plus a header:
   full state encodings; production lines show the rewrite and its form
   check.
 
+Generation and report headers share the run fields ``seed= policy=
+termination= conforming=``, written and read in one place each.
+
 Encodings in sidecar lines are Python literals, so parsing recovers the
 exact state.  ``parse_trace(serialize_trace(x)) == x`` for every value
 the serializer accepts.  The empty string renders as ``_``.
@@ -87,19 +90,14 @@ class TraceParseError(ValueError):
 
 
 _ID_RE = re.compile(r"A#[0-9a-f]{8}\Z")
-_GEN_HEADER_RE = re.compile(
-    r"kind=generation seed=(-?\d+) policy=(\S+) termination=(\S+)"
-    r" conforming=(true|false) initial=(A#[0-9a-f]{8}) prompt=(.*)\Z"
-)
+_RUN = r"seed=(-?\d+) policy=(\S+) termination=(\S+) conforming=(true|false)"
+_GEN_HEADER_RE = re.compile(rf"kind=generation {_RUN} initial=(A#[0-9a-f]{{8}}) prompt=(.*)\Z")
 _GEN_STEP_RE = re.compile(
     r"step=(\d+) before=(A#[0-9a-f]{8}) token=(\S+) after=(A#[0-9a-f]{8})\Z"
 )
 _STATE_RE = re.compile(r"state (A#[0-9a-f]{8}) (.*)\Z")
 _DERIV_STEP_RE = re.compile(r"step=(\d+) prod=(\d+) pos=(\d+) after=(.*)\Z")
-_REPORT_HEADER_RE = re.compile(
-    r"kind=report seed=(-?\d+) policy=(\S+) termination=(\S+)"
-    r" conforming=(true|false)(?: replay=(.*))?\Z"
-)
+_REPORT_HEADER_RE = re.compile(rf"kind=report {_RUN}(?: replay=(.*))?\Z")
 _NT_RE = re.compile(r"nt (A#[0-9a-f]{8}) t=(\d+) (.*)\Z")
 _REPORT_STEP_RE = re.compile(
     r"step=(\d+) kind=(initial|interior|terminal) lhs=(.*?) -> rhs=(.*?)"
@@ -214,6 +212,26 @@ class _Names(dict):
         return state
 
 
+def _run_header(kind: str, run: GenerationRecord | TraceReport) -> str:
+    """The header's kind and run fields, which both record kinds start with."""
+    return (
+        f"kind={kind} seed={run.seed} policy={run.policy}"
+        f" termination={run.termination} conforming={str(run.conforming).lower()}"
+    )
+
+
+def _read_header(pattern: re.Pattern, kind: str, line: str) -> tuple[dict, tuple]:
+    """The run fields of a header, as keyword arguments, and the kind's own groups."""
+    m = pattern.match(line)
+    if not m:
+        raise TraceParseError(f"bad {kind} header", 1)
+    seed, policy, termination, conforming, *rest = m.groups()
+    run = dict(
+        seed=int(seed), policy=policy, termination=termination, conforming=conforming == "true"
+    )
+    return run, tuple(rest)
+
+
 def _check_step(raw: str, expected: int, line: int) -> None:
     if raw != str(expected):
         raise TraceParseError(f"step={raw} out of order, expected step={expected}", line)
@@ -250,20 +268,14 @@ def _serialize_generation(rec: GenerationRecord) -> str:
     for i, step in enumerate(rec.steps):
         before, after = name[step.state_before], name[step.state_after]
         step_lines.append(f"step={i} before={before} token={name[step.token]} after={after}")
-    header = (
-        f"kind=generation seed={rec.seed} policy={rec.policy}"
-        f" termination={rec.termination} conforming={str(rec.conforming).lower()}"
-        f" initial={initial_id} prompt={name.join(rec.prompt)}"
-    )
+    header = _run_header("generation", rec)
+    header += f" initial={initial_id} prompt={name.join(rec.prompt)}"
     state_lines = [f"state {sid} {text}" for sid, (_, text) in name.ids.items()]
     return "\n".join([header] + state_lines + step_lines) + "\n"
 
 
 def _parse_generation(lines: list[str]) -> GenerationRecord:
-    m = _GEN_HEADER_RE.match(lines[0])
-    if not m:
-        raise TraceParseError("bad generation header", 1)
-    seed, policy, termination, conforming, initial_id, prompt_raw = m.groups()
+    run, (initial_id, prompt_raw) = _read_header(_GEN_HEADER_RE, "generation", lines[0])
     names = _Names()
     steps: list[GenerationStep] = []
     for n, line in enumerate(lines[1:], start=2):
@@ -290,11 +302,8 @@ def _parse_generation(lines: list[str]) -> GenerationRecord:
         prompt=prompt,
         steps=tuple(steps),
         final=prompt + tuple(s.token for s in steps),
-        termination=termination,
-        seed=int(seed),
-        policy=policy,
         initial_state=names[initial_id],
-        conforming=conforming == "true",
+        **run,
     )
 
 
@@ -355,11 +364,7 @@ def _serialize_report(report: TraceReport) -> str:
     if len(report.form_checks) != len(report.productions):
         raise ValueError("one form check per production is required")
     name = _Renderer()
-    header = (
-        f"kind=report seed={report.seed} policy={report.policy}"
-        f" termination={report.termination}"
-        f" conforming={str(report.conforming).lower()}"
-    )
+    header = _run_header("report", report)
     if report.replay_result is not None:
         header += f" replay={name.join(report.replay_result)}"
     step_lines = []
@@ -379,10 +384,7 @@ def _serialize_report(report: TraceReport) -> str:
 
 
 def _parse_report(lines: list[str]) -> TraceReport:
-    m = _REPORT_HEADER_RE.match(lines[0])
-    if not m:
-        raise TraceParseError("bad report header", 1)
-    seed, policy, termination, conforming, replay_raw = m.groups()
+    run, (replay_raw,) = _read_header(_REPORT_HEADER_RE, "report", lines[0])
     names = _Names()
     productions: list[DynamicProduction] = []
     checks: list[FormCheck] = []
@@ -409,10 +411,7 @@ def _parse_report(lines: list[str]) -> TraceReport:
         productions=tuple(productions),
         form_checks=tuple(checks),
         replay_result=None if replay_raw is None else names.symbols(replay_raw),
-        conforming=conforming == "true",
-        seed=int(seed),
-        policy=policy,
-        termination=termination,
+        **run,
     )
 
 

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import os
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from lcsg import Grammar, WeightedGrammar, parse_grammar
+from lcsg import (
+    Grammar,
+    Production,
+    SymbolString,
+    WeightedGrammar,
+    nonterminal,
+    parse_grammar,
+    terminal,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +43,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for n in sorted(results):
             verdict = "PASS" if results[n] else "FAIL"
             terminalreporter.write_line(f"ACCEPTANCE {n} {verdict}")
+
+
+def random_left_cs_grammar(seed: int) -> WeightedGrammar:
+    """A small random grammar in which every rewrite preserves its left context.
+
+    Every nonterminal gets one context-free continuation and one context-free
+    terminating production, so expansion never dead-ends and every state can
+    reach END.
+    """
+    rng = random.Random(seed)
+    terms = ("a", "b", "c")[: rng.choice((2, 2, 3))]
+    nts = ("S", "A", "B")
+    productions = []
+    for nt in nts:
+        specs = [
+            ["", rng.choice(terms), rng.choice(nts)],
+            ["", rng.choice(terms), None],
+        ]
+        if rng.random() < 0.6:
+            specs.append(
+                [rng.choice(terms), rng.choice(terms), rng.choice(nts + (None,))]
+            )
+        for gamma, v, nxt in specs:
+            context = (terminal(gamma),) if gamma else ()
+            lhs = SymbolString(context + (nonterminal(nt),))
+            tail = (nonterminal(nxt),) if nxt else ()
+            rhs = SymbolString(context + (terminal(v),) + tail)
+            productions.append(Production(lhs, rhs, weight=rng.uniform(0.5, 2.0)))
+    g = Grammar(
+        nonterminals=frozenset(nonterminal(n) for n in nts),
+        terminals=frozenset(terminal(t) for t in terms),
+        start=nonterminal("S"),
+        productions=tuple(productions),
+    )
+    return WeightedGrammar.from_grammar(g)
 
 
 def load_grammar(name: str) -> Grammar:

@@ -11,15 +11,12 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
 import time
 
 from lcsg import (
     FormCheckStatus,
-    Grammar,
-    Production,
     StringDistribution,
     SymbolString,
     WeightedGrammar,
@@ -35,7 +32,6 @@ from lcsg import (
     induce_grammar,
     is_right_linear,
     ngram_train,
-    nonterminal,
     parse_grammar,
     replay,
     sample_derivation,
@@ -45,7 +41,7 @@ from lcsg import (
     toy_attention_predictor,
 )
 from lcsg.cli import dispatch
-from conftest import DATA, load_grammar
+from conftest import DATA, load_grammar, random_left_cs_grammar
 
 from test_grammar_core import CLASSIFY12_LABELS
 
@@ -177,44 +173,9 @@ def test_criterion_3_membership_and_enumeration_agree_on_every_string():
 # 4. induction round trip on random grammars
 
 
-def _random_left_cs_grammar(seed: int) -> WeightedGrammar:
-    """A small random grammar in which every rewrite preserves its left context.
-
-    Every nonterminal gets one context-free continuation and one context-free
-    terminating production, so expansion never dead-ends and every state can
-    reach END.
-    """
-    rng = random.Random(seed)
-    terms = ("a", "b", "c")[: rng.choice((2, 2, 3))]
-    nts = ("S", "A", "B")
-    productions = []
-    for nt in nts:
-        specs = [
-            ["", rng.choice(terms), rng.choice(nts)],
-            ["", rng.choice(terms), None],
-        ]
-        if rng.random() < 0.6:
-            specs.append(
-                [rng.choice(terms), rng.choice(terms), rng.choice(nts + (None,))]
-            )
-        for gamma, v, nxt in specs:
-            context = (terminal(gamma),) if gamma else ()
-            lhs = SymbolString(context + (nonterminal(nt),))
-            tail = (nonterminal(nxt),) if nxt else ()
-            rhs = SymbolString(context + (terminal(v),) + tail)
-            productions.append(Production(lhs, rhs, weight=rng.uniform(0.5, 2.0)))
-    g = Grammar(
-        nonterminals=frozenset(nonterminal(n) for n in nts),
-        terminals=frozenset(terminal(t) for t in terms),
-        start=nonterminal("S"),
-        productions=tuple(productions),
-    )
-    return WeightedGrammar.from_grammar(g)
-
-
 def test_criterion_4_induced_grammars_reproduce_language_and_probabilities():
     for seed in range(5):
-        source = _random_left_cs_grammar(seed)
+        source = random_left_cs_grammar(seed)
         vocab = tuple(sorted(s.name for s in source.grammar.terminals))
         induced = induce_grammar(
             grammar_predictor(source), vocab=vocab, max_context_len=8

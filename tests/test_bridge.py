@@ -3,13 +3,16 @@ plus writing finite-state predictors back down as weighted grammars."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lcsg import (
     B_DYN,
     DynamicNonterminal,
     DynamicProduction,
+    END,
     FormCheckStatus,
     NonconformingRecordError,
     Production,
@@ -24,6 +27,7 @@ from lcsg import (
     check_weak_equivalence,
     classify_grammar,
     classify_production,
+    exact_distribution,
     extract_productions,
     generate,
     grammar_predictor,
@@ -35,12 +39,14 @@ from lcsg import (
     parse_grammar,
     render_grammar,
     replay,
+    sample_derivation,
     string_probability,
     terminal,
     toy_attention_predictor,
 )
 from lcsg.autoregressive import GenerationRecord, GenerationStep
 from lcsg.grammar import ProductionClass
+from conftest import random_left_cs_grammar
 
 
 def toks(*names: str) -> SymbolString:
@@ -304,23 +310,83 @@ def test_induced_grammar_reproduces_exact_probabilities():
         assert p_ind == pytest.approx(p_src, abs=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP.md item 2: a string ending in a state first reached at "
-    "the horizon gets its prefix probability",
-)
-def test_a_string_ending_in_a_horizon_state_gets_its_exact_probability():
-    source = WeightedGrammar.from_grammar(
+def horizon_source() -> WeightedGrammar:
+    """``a b`` and ``a b c``, each with probability 0.5."""
+    return WeightedGrammar.from_grammar(
         parse_grammar(
             "start: S\nterminals: a b c\nnonterminals: S A C\n"
             "S -> a A\nA -> b\nA -> b C\nC -> c\n"
         )
     )
+
+
+def test_a_string_ending_in_a_horizon_state_gets_its_exact_probability():
+    source = horizon_source()
     induced = induce_grammar(grammar_predictor(source), max_context_len=2)
     p_src = string_probability(source, source.grammar.string_of(["a", "b"]))
     p_ind = string_probability(induced, induced.grammar.string_of(["a", "b"]))
     assert p_src == 0.5
     assert p_ind == pytest.approx(p_src, abs=1e-12)
+
+
+def test_sampling_runs_past_the_horizon_into_truncation():
+    induced = induce_grammar(grammar_predictor(horizon_source()), max_context_len=2)
+    # Four steps derive a b; a draw past the horizon loops in esc until the step cap.
+    draws = [sample_derivation(induced, seed, max_steps=50) for seed in range(200)]
+    truncated = sum(d.truncated for d in draws)
+    assert 0 < truncated < 200
+    exact = exact_distribution(induced, 2)
+    assert {str(w): p for w, p in exact.probabilities.items()} == {"a b": pytest.approx(0.5)}
+    assert exact.residual == pytest.approx(0.5)
+
+
+def chain_probability(predictor, names: tuple[str, ...]) -> float:
+    """The product of the predictor's conditionals along ``names``, END included.
+
+    It stops at the first zero: the predictor refuses a context it cannot produce.
+    """
+    dist, state = predictor.next_distribution(predictor.initial_state, SymbolString())
+    p = 1.0
+    for i, name in enumerate(names):
+        p *= dist.probability(terminal(name))
+        if p == 0.0:
+            return 0.0
+        dist, state = predictor.next_distribution(state, toks(*names[: i + 1]))
+    return p * dist.probability(END)
+
+
+def assert_induction_is_exact(predictor, vocab, horizon, source=None):
+    """Every string up to ``horizon`` gets the chain product of ``predictor``'s
+    conditionals from the induced grammar, and from ``source`` if given."""
+    induced = induce_grammar(predictor, vocab=vocab, max_context_len=horizon)
+    weighed = [induced] if source is None else [induced, source]
+    got = [
+        {w.names(): p for w, p in exact_distribution(wg, horizon).probabilities.items()}
+        for wg in weighed
+    ]
+    for n in range(horizon + 1):
+        for names in itertools.product(vocab, repeat=n):
+            chain = chain_probability(predictor, names)
+            for probabilities in got:
+                assert probabilities.get(names, 0.0) == pytest.approx(chain, abs=1e-12), names
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), horizon=st.integers(1, 4))
+def test_induction_from_a_grammar_is_exact_on_every_string_up_to_the_horizon(seed, horizon):
+    source = random_left_cs_grammar(seed)
+    vocab = tuple(sorted(s.name for s in source.grammar.terminals))
+    assert_induction_is_exact(grammar_predictor(source), vocab, horizon, source)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    corpus=st.lists(st.lists(st.sampled_from("ab"), max_size=5), min_size=1, max_size=4),
+    k=st.integers(0, 3),
+    horizon=st.integers(1, 4),
+)
+def test_induction_from_a_kgram_is_exact_on_every_string_up_to_the_horizon(corpus, k, horizon):
+    assert_induction_is_exact(ngram_train(corpus, k, vocab=("a", "b")), ("a", "b"), horizon)
 
 
 def test_induction_refuses_infinite_state_predictors():
@@ -337,6 +403,13 @@ def test_induction_respects_the_state_budget():
 def test_induction_requires_vocab_coverage():
     with pytest.raises(ValueError, match="cover"):
         induce_grammar(bigram_pred(), vocab=("a",), max_context_len=4)
+
+
+def test_induction_requires_vocab_coverage_at_the_horizon():
+    # The start state is a horizon state at horizon 0, and its token mass
+    # escapes through a vocabulary terminal.
+    with pytest.raises(ValueError, match="cover"):
+        induce_grammar(bigram_pred(), vocab=("b",), max_context_len=0)
 
 
 
