@@ -24,7 +24,14 @@ Each ``Grammar`` is compiled once, on first use, into a view that the
 grammar instance itself holds (:func:`_compiled`).  It groups the
 productions by the first ``Symbol`` of their lhs, so ``_rewrites`` tries at
 each position only the productions that start with the symbol there.  On
-the first search it also holds the search profile.  And it keeps the last
+the first search it also holds the search profile: the nullable symbols
+and, by production, the yield change ``min_yield(rhs) - min_yield(lhs)``.
+The minimal yield sums over a form's symbols, so a rewrite changes it by
+exactly that in all three accepted shapes: the change in length for
+monotone grammars (-1 for the start erasure), the change in non-nullable
+symbols for erasing context-free ones.  A search adds it to the parent's
+yield, kept in a list of the search's own, and tests the child against the
+bound before it looks the child up.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
 repeated queries on one grammar object share a search, the exact
 probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
@@ -42,15 +49,17 @@ keeps the form and the :class:`DerivationStep` that first reached it; the
 trace ``derives_bounded`` returns is the chain of those steps back to the
 start.  For each form it expands, the search also records every rewrite in
 successor order, as the production index and the child's id, or ``None``
-where the child leaves the bound.  Exact probabilities read this record as
-one graph over ids, swept in one topological order of its cycles; they
-expand no form themselves and look a form up only for the terminal strings
-they absorb.  A search expands at most ``fuel`` forms, so a completed
-search keeps at most ``fuel`` forms, each with its step; one that runs out
-of fuel also keeps the forms it reached but did not expand, up to ``fuel``
-times the largest number of rewrites of one form, plus one.  Either way it
-records at most ``fuel`` times that number of rewrites, each a pair of an
-index and an id.
+where the child leaves the bound, and, once, the ids of the terminal
+strings among the forms it expands, in id order.  Enumeration reads its
+strings from that list, and exact probabilities read the record as one
+graph over ids, swept in one topological order of its cycles; neither
+tests a form for terminals, and the sweep expands no form itself and looks
+a form up only for the terminal strings it absorbs.  A search expands at
+most ``fuel`` forms, so a completed search keeps at most ``fuel`` forms,
+each with its step; one that runs out of fuel also keeps the forms it
+reached but did not expand, up to ``fuel`` times the largest number of
+rewrites of one form, plus one.  Either way it records at most ``fuel``
+times that number of rewrites, each a pair of an index and an id.
 """
 
 from __future__ import annotations
@@ -193,11 +202,14 @@ class _Reachability:
     # form's symbols to it, and the lists are indexed by it: the form, the
     # step that first reached it (None for the start form), and for each
     # form expanded its rewrites in successor order as (production index,
-    # the child's id, or None where it leaves the bound).
+    # the child's id, or None where it leaves the bound).  ``strings`` holds
+    # the ids of the terminal strings among the forms expanded, in id order.
+    # No form's yield is kept: the search derives yields as it goes.
     ids: dict[tuple[Symbol, ...], int]
     forms: list[SymbolString]
     steps: list[DerivationStep | None]
     rewrites: list[tuple[tuple[int, int | None], ...]]
+    strings: list[int]
     completed: bool = False
     # The last exact-probability sweep over this search, as (weights, the
     # absorbed mass of each terminal string), or None before the first.
@@ -211,10 +223,12 @@ class _CompiledGrammar:
     kinds apart, to the productions whose lhs starts with it, in index
     order, as ``(index, lhs length, second lhs symbol or None, lhs[2:],
     rhs)``.  ``nullable`` is ``_search_profile``'s set, or ``None`` until the
-    first search computes it.  ``searches``, the one cache, keeps the last
-    ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by ``(max_len, fuel)``
-    and least recently used first; each holds the last sweep of
-    :mod:`lcsg.stochastic` over it.
+    first search computes it; that search also fills ``yield_changes``, by
+    production index, each ``min_yield(rhs) - min_yield(lhs)``, the exact
+    change a rewrite by that production makes to its form's minimal yield.
+    ``searches``, the one cache, keeps the last ``_SEARCH_CACHE_SIZE``
+    bounded searches, keyed by ``(max_len, fuel)`` and least recently used
+    first; each holds the last sweep of :mod:`lcsg.stochastic` over it.
     """
 
     def __init__(self, g: Grammar) -> None:
@@ -225,6 +239,7 @@ class _CompiledGrammar:
             entry = (index, len(lhs), second, lhs[2:], p.rhs.symbols)
             self.by_head.setdefault(lhs[0], []).append(entry)
         self.nullable: frozenset[Symbol] | None = None
+        self.yield_changes: list[int] = []
         self.searches: dict[tuple[int, int], _Reachability] = {}
 
     def min_yield(self, symbols: tuple[Symbol, ...]) -> int:
@@ -268,23 +283,38 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         raise ValueError("fuel must be >= 0")
     if view.nullable is None:
         view.nullable = _search_profile(g)
+        view.yield_changes = [
+            view.min_yield(p.rhs.symbols) - view.min_yield(p.lhs.symbols) for p in g.productions
+        ]
+    by_head, yield_changes = view.by_head, view.yield_changes
     initial = SymbolString((g.start,))
-    ids, forms, steps, rewrites = {initial.symbols: 0}, [initial], [None], []
-    reach = _Reachability(ids, forms, steps, rewrites)
+    ids, forms, steps, rewrites, strings = {initial.symbols: 0}, [initial], [None], [], []
+    reach = _Reachability(ids, forms, steps, rewrites, strings)
+    yields = [view.min_yield(initial.symbols)]  # by id; the record keeps no yield
     # The form to expand next is the one whose id is the number expanded so far.
     while len(rewrites) < len(forms):
-        if len(rewrites) >= fuel:
+        parent = len(rewrites)
+        if parent >= fuel:
             return reach
-        form = forms[len(rewrites)]
+        form, base = forms[parent], yields[parent]
         out: list[tuple[int, int | None]] = []
-        for index, position, symbols in _rewrites(form.symbols, view.by_head):
-            child = ids.get(symbols)
-            if child is None and view.min_yield(symbols) <= max_len:
-                child = ids[symbols] = len(forms)
-                after = SymbolString._of(symbols)
-                forms.append(after)
-                steps.append(DerivationStep(form, index, position, after))
-            out.append((index, child))  # None: the rewrite leaves the bound
+        for index, position, symbols in _rewrites(form.symbols, by_head):
+            child_yield = base + yield_changes[index]
+            if child_yield <= max_len:
+                child = ids.get(symbols)
+                if child is None:
+                    child = ids[symbols] = len(forms)
+                    after = SymbolString._of(symbols)
+                    forms.append(after)
+                    steps.append(DerivationStep(form, index, position, after))
+                    yields.append(child_yield)
+            else:
+                # Left the bound: every kept form but the start fits it, and
+                # a start above it is reached again only by its own rewrite.
+                child = ids.get(symbols) if base > max_len else None
+            out.append((index, child))
+        if not out and form.is_all_terminal():
+            strings.append(parent)
         rewrites.append(tuple(out))
     reach.completed = True
     return reach
@@ -322,5 +352,6 @@ def enumerate_language(
     reach = _bounded_reachability(g, max_len, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted enumerating up to length {max_len}")
-    # A terminal form in the search fits the bound: its minimal yield is its length.
-    return {form for form in reach.forms if form.is_all_terminal()}
+    # The search recorded its terminal strings; each fits the bound, since its
+    # minimal yield is its length.
+    return {reach.forms[i] for i in reach.strings}

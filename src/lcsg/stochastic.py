@@ -232,6 +232,8 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     that determines ``w``'s mass unchanged.
 
     Edges and mass live in lists indexed by the search's form ids.  The
+    kept terminal strings, the sinks that absorb mass, are the ids the search
+    recorded in ``reach.strings``; the sweep tests no form itself.  The
     rewrites of positive probability between non-terminal forms split them
     into strongly connected components, visited once, sources first
     (:func:`_components`), so each component has its whole inflow when the
@@ -251,7 +253,9 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     """
     forms = reach.forms  # a completed search expanded each one
     escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
-    terminal = [not r and form.is_all_terminal() for form, r in zip(forms, reach.rewrites)]
+    terminal = [False] * escaped
+    for i in reach.strings:
+        terminal[i] = True
     # Each non-terminal form's rewrites as (child id, probability); a form
     # with no rewrite, or zero mass, gets none.  ``inner`` keeps the
     # positive ones to a non-terminal form.
@@ -308,7 +312,7 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
             raise ValueError("a cycle's solve is singular in floating point") from None
         for k, f in enumerate(component):
             pass_on(f, float(visits[k]))
-    return {forms[i]: mass[i] for i in range(escaped) if terminal[i]}
+    return {forms[i]: mass[i] for i in reach.strings}
 
 
 def _components(ids: list[int], inner: list[list[int]]) -> list[list[int]]:

@@ -1,6 +1,7 @@
 """The compiled view a grammar holds, the strings a search and the sampler
-wrap, the forms a search never hashes, its one search cache with the sweep
-each search keeps, and pickling.
+wrap, the yields a search computes, the forms a search never hashes or
+tests for terminals, its one search cache with the sweep each search keeps,
+and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
@@ -29,6 +30,9 @@ from lcsg import (
     WeightedGrammar,
     derives_bounded,
     enumerate_language,
+    exact_distribution,
+    induce_grammar,
+    ngram_train,
     nonterminal,
     parse_grammar,
     sample_derivation,
@@ -36,7 +40,13 @@ from lcsg import (
     successors,
     terminal,
 )
-from lcsg.derivation import DEFAULT_FUEL, _SEARCH_CACHE_SIZE, _bounded_reachability, _compiled
+from lcsg.derivation import (
+    DEFAULT_FUEL,
+    _SEARCH_CACHE_SIZE,
+    _bounded_reachability,
+    _compiled,
+    _CompiledGrammar,
+)
 
 
 def test_the_view_is_built_on_first_use_not_at_parse():
@@ -91,6 +101,36 @@ def test_a_cold_search_wraps_only_the_forms_it_keeps(monkeypatch):
     assert sum(len(rewrites) for rewrites in reach.rewrites) > len(wrapped)
 
 
+def induced_bigram_grammar():
+    """An induced k-gram grammar: right-linear, with a nullable state."""
+    predictor = ngram_train([list("abcacbaabbcca")], 1)
+    return induce_grammar(predictor, vocab=("a", "b", "c"), max_context_len=4).grammar
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [(lambda: load_grammar("abc.grammar"), 12), (induced_bigram_grammar, 4)],
+    ids=["monotone", "nullable"],
+)
+def test_a_search_computes_yields_per_production_not_per_rewrite(make, bound, monkeypatch):
+    g = make()
+    calls: list[tuple] = []
+    min_yield = _CompiledGrammar.min_yield
+
+    def counted(self, symbols):
+        calls.append(symbols)
+        return min_yield(self, symbols)
+
+    monkeypatch.setattr(_CompiledGrammar, "min_yield", counted)
+    per_grammar = 2 * len(g.productions) + 1  # each side of each production, and the start
+    reach = _bounded_reachability(g, bound, DEFAULT_FUEL)
+    assert len(calls) <= per_grammar
+    assert sum(len(rewrites) for rewrites in reach.rewrites) > 3 * per_grammar
+    calls.clear()
+    _bounded_reachability(g, bound - 1, DEFAULT_FUEL)  # reuses the changes; yields the start
+    assert len(calls) <= 1
+
+
 def test_a_search_and_the_queries_it_serves_hash_no_form(monkeypatch):
     g = load_grammar("abc.grammar")
     member = g.string_of(["a"] * 5 + ["b"] * 5 + ["c"] * 5)
@@ -117,6 +157,23 @@ def test_the_sampler_wraps_only_the_steps_it_draws(monkeypatch):
         sampled = sample_derivation(wg, seed, max_steps=40)
         assert len(wrapped) == len(sampled.trace.steps) > 0
         wrapped.clear()
+
+
+def test_enumeration_and_a_sweep_over_a_kept_search_test_no_form_for_terminals(monkeypatch):
+    wg = WeightedGrammar.from_grammar(load_grammar("abc.grammar"))
+    reach = _bounded_reachability(wg.grammar, 9, DEFAULT_FUEL)
+    tested: list[SymbolString] = []
+    is_all_terminal = SymbolString.is_all_terminal
+
+    def counted(self):
+        tested.append(self)
+        return is_all_terminal(self)
+
+    monkeypatch.setattr(SymbolString, "is_all_terminal", counted)
+    # Both read the terminal strings the search recorded.
+    assert enumerate_language(wg.grammar, 9) == {reach.forms[i] for i in reach.strings}
+    assert len(exact_distribution(wg, 9).probabilities) == len(reach.strings) > 0
+    assert tested == []
 
 
 def count_sweeps(monkeypatch) -> list[tuple[float, ...]]:

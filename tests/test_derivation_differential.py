@@ -14,7 +14,8 @@ The search records its rewrites with a loop of its own, not through
 ``successors``: the same rewrites in the same order, each child the id of
 the kept form equal to the successor's result (its place in the search's
 breadth-first order, which the id map must invert), or ``None`` exactly
-where that form is not kept.
+where that form is not kept; and its list of terminal strings against the
+all-terminal forms it expanded.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def assert_rewrites_match_successors(g: Grammar, reach) -> None:
     assert len(reach.rewrites) <= len(forms)
     if reach.completed:
         assert len(reach.rewrites) == len(forms)
+    # The terminal strings among the forms expanded, all of them once completed.
+    expanded = forms[:len(reach.rewrites)]
+    assert reach.strings == [i for i, form in enumerate(expanded) if form.is_all_terminal()]
     for form, rewrites in zip(forms, reach.rewrites):
         steps = successors(form, g)
         assert [index for index, _ in rewrites] == [s.production_index for s in steps]
@@ -120,6 +124,22 @@ def test_named_shapes_match_the_oracle(name):
         for combo in itertools.product(alphabet, repeat=n):
             assert_same_successors(SymbolString(combo), g)
     for max_len in range(6):
+        assert_same_search(g, max_len)
+
+
+@pytest.mark.parametrize(
+    "productions",
+    [
+        [(["S"], ["S"]), (["S"], ["a", "A"]), (["A"], ["b"])],
+        [(["S"], ["S"]), (["S"], ["A", "a"]), (["A"], [])],
+    ],
+    ids=["monotone", "erasing context-free"],
+)
+def test_a_start_above_the_bound_still_rewrites_into_itself(productions):
+    # At bound 0 the start form lies above the bound but is kept, so its
+    # self-loop is recorded with its id, not as leaving the bound.
+    g = grammar(productions)
+    for max_len in range(3):
         assert_same_search(g, max_len)
 
 
