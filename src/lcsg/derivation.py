@@ -45,9 +45,16 @@ its grammar and is never pickled.
 
 Each form a search reaches gets an id, its place in breadth-first order,
 from the one map keyed by forms, on their symbol tuples.  By id, the search
-keeps the form and the :class:`DerivationStep` that first reached it; the
-trace ``derives_bounded`` returns is the chain of those steps back to the
-start.  For each form it expands, the search also records every rewrite in
+keeps the form, wrapped when kept, and the step that first reached it as a
+``(parent id, production index, position)`` triple; it builds no
+:class:`DerivationStep`.  The first ``derives_bounded`` of a terminal string
+walks the parent ids back to the start, builds the steps of that one chain
+and keeps them in the search's trace store, keyed by the string's id; every
+call wraps the kept steps in a new :class:`DerivationTrace` without checking
+the chain again, since it is chained by construction.  The store keeps
+steps, not traces, so it refers to no grammar; it holds at most one entry
+per terminal string the search kept and is dropped with its search.  For
+each form it expands, the search also records every rewrite in
 successor order, as the production index and the child's id, or ``None``
 where the child leaves the bound, and, once, the ids of the terminal
 strings among the forms it expands, in id order.  Enumeration reads its
@@ -56,7 +63,7 @@ graph over ids, swept in one topological order of its cycles; neither
 tests a form for terminals, and the sweep expands no form itself and looks
 a form up only for the terminal strings it absorbs.  A search expands at
 most ``fuel`` forms, so a completed search keeps at most ``fuel`` forms,
-each with its step; one that runs out of fuel also keeps the forms it
+each with its triple; one that runs out of fuel also keeps the forms it
 reached but did not expand, up to ``fuel`` times the largest number of
 rewrites of one form, plus one.  Either way it records at most ``fuel``
 times that number of rewrites, each a pair of an index and an id.
@@ -64,7 +71,7 @@ times that number of rewrites, each a pair of an index and an id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .grammar import Grammar, Production, validate_grammar
 from .symbols import Symbol, SymbolString
@@ -117,6 +124,18 @@ class DerivationTrace:
             expected = start_form if i == 0 else self.steps[i - 1].after
             if step.before != expected:
                 raise ValueError(f"trace breaks at step {i}: {step.before} != {expected}")
+
+    @classmethod
+    def _of(cls, grammar: Grammar, steps: tuple[DerivationStep, ...]) -> "DerivationTrace":
+        """Wrap a tuple of steps, skipping ``__post_init__``'s chain check.
+
+        Only for steps chained by construction from ``grammar``'s start form,
+        as the search's and the sampler's are.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "grammar", grammar)
+        object.__setattr__(t, "steps", steps)
+        return t
 
     @property
     def final(self) -> SymbolString:
@@ -200,20 +219,25 @@ def _search_profile(g: Grammar) -> frozenset[Symbol]:
 class _Reachability:
     # A form's id is its place in breadth-first order; ``ids`` maps each
     # form's symbols to it, and the lists are indexed by it: the form, the
-    # step that first reached it (None for the start form), and for each
-    # form expanded its rewrites in successor order as (production index,
-    # the child's id, or None where it leaves the bound).  ``strings`` holds
-    # the ids of the terminal strings among the forms expanded, in id order.
-    # No form's yield is kept: the search derives yields as it goes.
+    # step that first reached it as (parent id, production index, position)
+    # (None for the start form), and for each form expanded its rewrites in
+    # successor order as (production index, the child's id, or None where it
+    # leaves the bound).  ``strings`` holds the ids of the terminal strings
+    # among the forms expanded, in id order.  No form's yield is kept: the
+    # search derives yields as it goes.
     ids: dict[tuple[Symbol, ...], int]
     forms: list[SymbolString]
-    steps: list[DerivationStep | None]
+    steps: list[tuple[int, int, int] | None]
     rewrites: list[tuple[tuple[int, int | None], ...]]
     strings: list[int]
     completed: bool = False
     # The last exact-probability sweep over this search, as (weights, the
     # absorbed mass of each terminal string), or None before the first.
     sweep: tuple[tuple[float, ...], dict[SymbolString, float]] | None = None
+    # The trace store: by the id of each terminal string ``derives_bounded``
+    # has found, the steps of its chain from the start form, built once.  At
+    # most one entry per terminal string kept; no grammar is referred to.
+    traces: dict[int, tuple[DerivationStep, ...]] = field(default_factory=dict)
 
 
 class _CompiledGrammar:
@@ -228,7 +252,8 @@ class _CompiledGrammar:
     change a rewrite by that production makes to its form's minimal yield.
     ``searches``, the one cache, keeps the last ``_SEARCH_CACHE_SIZE``
     bounded searches, keyed by ``(max_len, fuel)`` and least recently used
-    first; each holds the last sweep of :mod:`lcsg.stochastic` over it.
+    first; each holds the last sweep of :mod:`lcsg.stochastic` over it and
+    its trace store.
     """
 
     def __init__(self, g: Grammar) -> None:
@@ -304,9 +329,8 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
                 child = ids.get(symbols)
                 if child is None:
                     child = ids[symbols] = len(forms)
-                    after = SymbolString._of(symbols)
-                    forms.append(after)
-                    steps.append(DerivationStep(form, index, position, after))
+                    forms.append(SymbolString._of(symbols))
+                    steps.append((parent, index, position))
                     yields.append(child_yield)
             else:
                 # Left the bound: every kept form but the start fits it, and
@@ -318,6 +342,18 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         rewrites.append(tuple(out))
     reach.completed = True
     return reach
+
+
+def _chain(reach: _Reachability, i: int) -> tuple[DerivationStep, ...]:
+    """The steps from the start form to form ``i``, read back along parent ids."""
+    forms, parents = reach.forms, reach.steps
+    steps: list[DerivationStep] = []
+    while (step := parents[i]) is not None:
+        parent, index, position = step
+        steps.append(DerivationStep(forms[parent], index, position, forms[i]))
+        i = parent
+    steps.reverse()
+    return tuple(steps)
 
 
 def derives_bounded(
@@ -334,12 +370,10 @@ def derives_bounded(
         raise ValueError(f"target must contain only terminals: {target}")
     reach = _bounded_reachability(g, len(target), fuel)
     if (i := reach.ids.get(target.symbols)) is not None:
-        steps: list[DerivationStep] = []
-        step = reach.steps[i]
-        while step is not None:
-            steps.append(step)
-            step = reach.steps[reach.ids[step.before.symbols]]
-        return DerivationTrace(g, tuple(reversed(steps)))
+        steps = reach.traces.get(i)
+        if steps is None:
+            steps = reach.traces[i] = _chain(reach, i)
+        return DerivationTrace._of(g, steps)
     if reach.completed:
         return None
     raise FuelExhaustedError(f"fuel {fuel} exhausted searching for {target}")

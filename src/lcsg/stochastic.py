@@ -193,7 +193,7 @@ def sample_derivation(
         index, position, after = chosen
         steps.append(DerivationStep(form, index, position, SymbolString._of(after)))
         form = steps[-1].after
-    return SampledDerivation(DerivationTrace(g, tuple(steps)), not form.is_all_terminal())
+    return SampledDerivation(DerivationTrace._of(g, tuple(steps)), not form.is_all_terminal())
 
 
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:

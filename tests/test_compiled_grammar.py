@@ -1,18 +1,20 @@
 """The compiled view a grammar holds, the strings a search and the sampler
-wrap, the yields a search computes, the forms a search never hashes or
-tests for terminals, its one search cache with the sweep each search keeps,
-and pickling.
+wrap, the steps a search and its queries build, the yields a search
+computes, the forms a search never hashes or tests for terminals, its one
+search cache with the sweep and the trace store each search keeps, and
+pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
-over it, until the grammar itself is freed.  The cache never travels in a
-pickle: str hashes differ between processes, and a search record can hold
-``DEFAULT_FUEL`` forms and more.
+over it and the traces queried of it, until the grammar itself is freed.
+The cache never travels in a pickle: str hashes differ between processes,
+and a search record can hold ``DEFAULT_FUEL`` forms and more.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import pickle
 import subprocess
@@ -21,9 +23,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lcsg.stochastic
-from conftest import load_grammar
+from conftest import load_grammar, random_left_cs_grammar
 from lcsg import (
     FuelExhaustedError,
     SymbolString,
@@ -42,6 +45,8 @@ from lcsg import (
 )
 from lcsg.derivation import (
     DEFAULT_FUEL,
+    DerivationStep,
+    DerivationTrace,
     _SEARCH_CACHE_SIZE,
     _bounded_reachability,
     _compiled,
@@ -105,6 +110,104 @@ def induced_bigram_grammar():
     """An induced k-gram grammar: right-linear, with a nullable state."""
     predictor = ngram_train([list("abcacbaabbcca")], 1)
     return induce_grammar(predictor, vocab=("a", "b", "c"), max_context_len=4).grammar
+
+
+def count_steps(monkeypatch) -> list[DerivationStep]:
+    """Patch ``DerivationStep.__init__``; return the list of the steps it builds."""
+    built: list[DerivationStep] = []
+    init = DerivationStep.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(DerivationStep, "__init__", counted)
+    return built
+
+
+def test_a_cold_search_builds_no_step(monkeypatch):
+    g = load_grammar("crossserial.grammar")
+    built = count_steps(monkeypatch)
+    reach = _bounded_reachability(g, 10, DEFAULT_FUEL)
+    assert built == []
+    # Each kept form but the start records its first step as ids.
+    assert reach.steps[0] is None
+    assert all(type(step) is tuple and len(step) == 3 for step in reach.steps[1:])
+    assert len(reach.steps) == len(reach.forms) > 100
+
+
+def test_a_trace_is_built_once_per_target(monkeypatch):
+    g = load_grammar("abc.grammar")
+    member = g.string_of(["a"] * 5 + ["b"] * 5 + ["c"] * 5)
+    reach = _bounded_reachability(g, 15, DEFAULT_FUEL)
+    built = count_steps(monkeypatch)
+    first = derives_bounded(g, member)
+    assert len(built) == len(first.steps) > 20  # the target's chain, once
+    built.clear()
+    again = derives_bounded(g, member)
+    assert built == []
+    assert again == first and again is not first
+    assert again.steps is first.steps
+    assert reach.traces == {reach.ids[member.symbols]: first.steps}
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: load_grammar("abc.grammar"), 12),
+        (lambda: load_grammar("crossserial.grammar"), 10),
+        (lambda: load_grammar("chain.grammar"), 6),
+        (lambda: load_grammar("loop.grammar"), 8),
+        (induced_bigram_grammar, 5),
+    ],
+    ids=["abc", "crossserial", "chain", "loop", "nullable"],
+)
+def test_each_trace_a_search_builds_equals_its_validated_rebuild(make, bound):
+    # classify12, the fifth fixture, is refused by the search before any trace.
+    assert assert_traces_equal_their_validated_rebuild(make(), bound) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), bound=st.integers(min_value=0, max_value=6))
+def test_traces_on_drawn_grammars_equal_their_validated_rebuild(seed, bound):
+    assert_traces_equal_their_validated_rebuild(random_left_cs_grammar(seed).grammar, bound)
+
+
+def assert_traces_equal_their_validated_rebuild(g, bound: int) -> int:
+    """Check the trace of every string up to ``bound``; return how many."""
+    strings = enumerate_language(g, bound)
+    for w in strings:
+        trace = derives_bounded(g, w)
+        assert trace == DerivationTrace(g, trace.steps)
+        assert trace.final == w
+    return len(strings)
+
+
+def test_the_trace_store_keeps_one_entry_per_terminal_string_it_found():
+    g = load_grammar("crossserial.grammar")
+    reach = _bounded_reachability(g, 6, DEFAULT_FUEL)
+    terminals = {i for i, form in enumerate(reach.forms) if form.is_all_terminal()}
+    alphabet = sorted(g.terminals, key=lambda s: s.name)
+    found = []
+    for _ in range(2):  # every string of length 6, twice
+        for combo in itertools.product(alphabet, repeat=6):
+            if derives_bounded(g, SymbolString(combo)) is not None:
+                found.append(reach.ids[combo])
+    assert len(found) == 2 * len(reach.traces) > 2
+    assert set(reach.traces) == set(found) <= terminals
+
+
+def test_the_trace_store_is_dropped_with_its_search():
+    g = load_grammar("abc.grammar")
+    member = g.string_of("a a b b c c".split())
+    trace = derives_bounded(g, member)
+    step = weakref.ref(trace.steps[0])
+    del trace
+    assert step() is not None  # the store keeps it
+    for other in range(_SEARCH_CACHE_SIZE + 1):  # evicts the search at (6, DEFAULT_FUEL)
+        enumerate_language(g, 2, fuel=1000 + other)
+    assert (6, DEFAULT_FUEL) not in _compiled(g).searches
+    assert step() is None
 
 
 @pytest.mark.parametrize(
@@ -300,15 +403,24 @@ def test_enumeration_and_exact_probabilities_share_one_search():
 
 
 def test_the_cache_is_freed_with_its_grammar():
-    g = load_grammar("abc.grammar")
-    enumerate_language(g, 9)
-    wg = WeightedGrammar.from_grammar(g)
-    assert string_probability(wg, g.string_of("a a b b c c".split())) > 0.0
-    assert _compiled(g).searches[(6, DEFAULT_FUEL)].sweep is not None
-    ref = weakref.ref(g)
-    del g, wg
-    gc.collect()
-    assert ref() is None
+    # By reference counting alone: nothing the view keeps refers back to g.
+    gc.disable()
+    try:
+        g = load_grammar("abc.grammar")
+        enumerate_language(g, 9)
+        member = g.string_of("a a b b c c".split())
+        trace = derives_bounded(g, member)
+        assert derives_bounded(g, member) == trace
+        assert derives_bounded(g, g.string_of("a b b c c c".split())) is None
+        wg = WeightedGrammar.from_grammar(g)
+        assert string_probability(wg, member) > 0.0
+        reach = _compiled(g).searches[(6, DEFAULT_FUEL)]
+        assert reach.sweep is not None and reach.traces
+        ref = weakref.ref(g)
+        del g, wg, trace, reach
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_searched_grammar_pickles_without_its_caches():

@@ -5,9 +5,10 @@ were before grammars were compiled: every (position, production) pair is
 sliced and compared, and searches are cached by the whole grammar.  The
 library must give the same ``successors`` list, in the same (position,
 production index) order, the same search tree (the forms in the order of
-the oracle's parent map, so also the same BFS order, each kept step read
-as the oracle's parent tuple), and the same exception type where the
-oracle raises.
+the oracle's parent map, so also the same BFS order, each kept step's
+(parent id, production index, position) triple read as the oracle's parent
+tuple, with that rewrite of the parent giving the form), and the same
+exception type where the oracle raises.
 
 The search records its rewrites with a loop of its own, not through
 ``successors``, so each search here also checks that record against
@@ -31,6 +32,7 @@ from lcsg import (
     Grammar,
     Production,
     SymbolString,
+    apply_step,
     derives_bounded,
     enumerate_language,
     nonterminal,
@@ -93,8 +95,10 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
         if step is None:
             assert want.parents[form] is None
         else:
-            assert (step.before, step.production_index, step.position) == want.parents[form]
-            assert step.after == form
+            parent, index, position = step
+            assert type(parent) is int and 0 <= parent < len(got.forms)
+            assert (got.forms[parent], index, position) == want.parents[form]
+            assert apply_step(got.forms[parent], g.productions[index], position) == form
     assert_rewrites_match_successors(g, got)
 
 

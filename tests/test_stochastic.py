@@ -15,6 +15,7 @@ import lcsg.stochastic
 from lcsg import (
     BoundMismatchError,
     DeadEndError,
+    DerivationTrace,
     FuelExhaustedError,
     StringDistribution,
     WeightedGrammar,
@@ -129,6 +130,21 @@ def test_sampled_traces_are_valid_derivations(loop):
         for step in trace.steps:
             assert step.before == form
             form = step.after
+
+
+@pytest.mark.parametrize("name", ["abc", "crossserial", "chain", "loop", "classify12"])
+def test_each_sampled_trace_equals_its_validated_rebuild(name):
+    # The sampler wraps its steps unchecked, since it chains them as it draws.
+    wg = load_weighted(f"{name}.grammar")
+    checked = 0
+    for seed in range(100):
+        try:
+            trace = sample_derivation(wg, seed).trace
+        except DeadEndError:  # abc and crossserial can rewrite into a dead end
+            continue
+        assert trace == DerivationTrace(wg.grammar, trace.steps)
+        checked += 1
+    assert checked >= 70
 
 
 # --- exact probabilities ---
