@@ -43,6 +43,7 @@ steps and the sweep's edges alike.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ class WeightedGrammar:
                 f"{len(self.weights)} weights for {len(self.grammar.productions)} productions"
             )
         for w in self.weights:
-            if not np.isfinite(w) or w < 0.0:
+            if not math.isfinite(w) or w < 0.0:
                 raise ValueError(f"weights must be finite and >= 0: {w}")
         productions = self.grammar.productions
         rewritten = {s for p, w in zip(productions, self.weights) if w > 0.0 for s in p.lhs}

@@ -39,12 +39,10 @@ like an id, a reserved or undeclared name, and step lines not numbered
 0, 1, 2, ... in file order.
 
 A report's lines chain: each interior left side is the right side of the
-line before, and each right side repeats the context α_t of its left
-side.  Both directions reuse the line before where the lines chain: its
-text or items stand for an equal left side, and the left side's context
-for the head of the right side.  So each line resolves or renders only
-its new items, and the rest is copying.  Lines that do not chain take the
-general path and give the same text and values.
+line before.  A left side equal to the line before's right side takes
+that line's text or items.  Every other side, each right side included,
+is rendered and read name by name through the call's table, and gives the
+same text and values.
 
 A report's text carries no production count, so a report cut after a
 whole production line parses, with the cut run's header verdicts: the
@@ -120,15 +118,6 @@ class _Renderer(dict):
     def join(self, items: Iterable[object]) -> str:
         return " ".join(map(self.__getitem__, items)) or "_"
 
-    def join_after(self, lhs: tuple, lhs_text: str, rhs: tuple) -> str:
-        """``join(rhs)``, cut from ``lhs_text`` where ``rhs`` repeats ``lhs[:-1]``."""
-        k = len(lhs) - 1
-        if k < 1 or rhs[:k] != lhs[:k]:
-            return self.join(rhs)
-        context = lhs_text[: -len(self[lhs[-1]]) - 1]
-        tail = rhs[k:]
-        return f"{context} {' '.join(map(self.__getitem__, tail))}" if tail else context
-
     def __missing__(self, item) -> str:
         if isinstance(item, (PredictorState, DynamicNonterminal)):
             state = item.state if isinstance(item, DynamicNonterminal) else item
@@ -171,16 +160,6 @@ class _Names(dict):
 
     def items(self, raw: str) -> tuple[Item, ...]:
         return () if raw == "_" else tuple(map(self.__getitem__, raw.split()))
-
-    def items_after(self, lhs_raw: str, lhs: tuple[Item, ...], raw: str) -> tuple[Item, ...]:
-        """``items(raw)``, taking ``lhs[:-1]`` where ``raw`` repeats the context of ``lhs_raw``.
-
-        The context is all of ``lhs_raw`` before a trailing id, which holds no space.
-        """
-        context, _, last = lhs_raw.rpartition(" ")
-        if _ID_RE.match(last) and raw.startswith(context) and raw.startswith(" ", len(context)):
-            return lhs[:-1] + tuple(map(self.__getitem__, raw[len(context) + 1 :].split()))
-        return self.items(raw)
 
     def symbol(self, name: str) -> Symbol:
         item = self[name]
@@ -371,7 +350,7 @@ def _serialize_report(report: TraceReport) -> str:
     rhs, rhs_text = None, ""  # the line before's right side
     for i, (p, check) in enumerate(zip(report.productions, report.form_checks)):
         lhs_text = rhs_text if p.lhs == rhs else name.join(p.lhs)
-        rhs, rhs_text = p.rhs, name.join_after(p.lhs, lhs_text, p.rhs)
+        rhs, rhs_text = p.rhs, name.join(p.rhs)
         line = (
             f"step={i} kind={p.kind} lhs={lhs_text}"
             f" -> rhs={rhs_text} check={check.status.value}"
@@ -402,7 +381,7 @@ def _parse_report(lines: list[str]) -> TraceReport:
         step, kind, lhs_raw, rhs_raw, status, reason = pm.groups()
         _check_step(step, len(productions), n)
         lhs = rhs if lhs_raw == prev_rhs_raw else names.items(lhs_raw)
-        rhs = names.items_after(lhs_raw, lhs, rhs_raw)
+        rhs = names.items(rhs_raw)
         prev_rhs_raw = rhs_raw
         productions.append(DynamicProduction(kind, lhs, rhs))
         checks.append(FormCheck(FormCheckStatus(status), reason))

@@ -88,6 +88,32 @@ def test_sample_is_inverse_cdf_with_right_closed_boundaries():
     assert d.sample(0.999) == y
 
 
+def test_sample_returns_the_last_entry_where_rounding_leaves_the_sum_at_or_below_u():
+    tokens = [terminal(f"t{i}") for i in range(10)]
+    d = TokenDistribution(tuple((t, 0.1) for t in tokens))
+    total = sum(p for _, p in d.entries)
+    assert total < 1.0
+    assert d.sample(total) == tokens[-1]
+
+
+def test_list_arguments_are_stored_as_tuples():
+    d = TokenDistribution([(x, 0.5), (END, 0.5)])
+    assert d.entries == ((x, 0.5), (END, 0.5))
+    assert isinstance(d.entries, tuple)
+    state = PredictorState("scripted", 0)
+    rec = GenerationRecord(
+        prompt=SymbolString(()),
+        steps=[GenerationStep(state, x, state)],
+        final=SymbolString((x,)),
+        termination="END_sampled",
+        seed=0,
+        policy="greedy",
+        initial_state=state,
+    )
+    assert rec.steps == (GenerationStep(state, x, state),)
+    assert isinstance(rec.steps, tuple)
+
+
 def test_probability_lookup():
     d = TokenDistribution(((x, 0.3), (y, 0.7)))
     assert d.probability(x) == 0.3

@@ -109,6 +109,13 @@ def test_trace_validates_chaining(abc):
         DerivationTrace(abc, (bad,))  # first step must start at the start symbol
 
 
+def test_an_empty_trace_is_a_tuple_ending_at_the_start_form(abc):
+    trace = DerivationTrace(abc, [])
+    assert trace.steps == ()
+    assert isinstance(trace.steps, tuple)
+    assert trace.final == SymbolString((abc.start,))
+
+
 # --- bounded membership ---
 
 

@@ -295,6 +295,14 @@ def test_is_right_linear():
     )
 
 
+def test_a_two_symbol_left_side_is_not_right_linear():
+    g = Grammar(
+        frozenset({A, B}), frozenset({a}), A,
+        (Production(s(A), s(a, B)), Production(s(a, B), s(a, a))),
+    )
+    assert not is_right_linear(g)
+
+
 # --- file format ---
 
 

@@ -100,3 +100,8 @@ def test_a_symbol_nothing_references_is_freed():
     ref = weakref.ref(terminal("unreferenced"))
     gc.collect()
     assert ref() is None
+
+
+def test_a_symbol_string_reprs_as_its_text_in_angle_brackets():
+    assert repr(SymbolString((terminal("a"), nonterminal("B")))) == "<a B>"
+    assert repr(SymbolString(())) == "<_>"

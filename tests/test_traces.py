@@ -408,3 +408,11 @@ def test_unrecognized_lines_are_refused_in_every_kind(head):
 def test_only_the_three_trace_kinds_serialize():
     with pytest.raises(TypeError, match="cannot serialize PredictorState"):
         serialize_trace(PredictorState("ngram", ()))
+
+
+def test_two_states_with_one_id_are_refused(monkeypatch):
+    rec = generate(bigram_pred(), SymbolString(()), "greedy", seed=0, max_t=2)
+    assert len({rec.initial_state, *(s.state_after for s in rec.steps)}) > 1
+    monkeypatch.setattr("lcsg.traces._state_hash", lambda state, text=None: "deadbeef")
+    with pytest.raises(ValueError, match="state id collision on A#deadbeef"):
+        serialize_trace(rec)
