@@ -19,7 +19,11 @@ the empty right side.  A production may carry a weight as a trailing
 Alternatives for one left side may share a line via ``|``.
 
 ``parse_grammar`` and ``render_grammar`` are mutual inverses on valid
-grammars: ``parse_grammar(render_grammar(g)) == g``.
+grammars: ``parse_grammar(render_grammar(g)) == g``.  So ``render_grammar``
+refuses, with ``ValueError``, a symbol name that the parser would read as
+syntax: one that begins with ``#`` (a comment), ``start:``, ``terminals:``
+or ``nonterminals:`` (a declaration) where it begins a line, and one of the
+form ``p=<text>`` (a weight) where it ends a right side.
 """
 
 from __future__ import annotations
@@ -158,8 +162,14 @@ def render_grammar(g: Grammar) -> str:
     """Render a grammar in the file format, deterministically.
 
     Alphabets are emitted in sorted name order and productions one per line
-    in grammar order, so identical grammars always render identically.
+    in grammar order, so identical grammars always render identically.  A
+    symbol name the parser would read as syntax raises ``ValueError``.
     """
+    symbols = {g.start, *g.alphabet, *(s for p in g.productions for s in (*p.lhs, *p.rhs))}
+    line_starts = ("#", "start:", "terminals:", "nonterminals:")
+    for name in sorted(s.name for s in symbols):
+        if name.startswith(line_starts) or _WEIGHT_RE.match(name):
+            raise ValueError(f"symbol name {name!r} collides with the grammar file syntax")
     lines = [f"start: {g.start.name}"]
     lines.append(("terminals: " + " ".join(sorted(s.name for s in g.terminals))).rstrip())
     lines.append(

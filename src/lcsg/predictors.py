@@ -9,7 +9,10 @@ nonterminal or completion), and its probability.  The next-token
 distribution marginalizes that belief, so END receives exactly the
 probability that the derivation has already completed at the current
 context.  Chained over a whole run, the predicted conditionals multiply out
-to the grammar's own string probabilities.
+to the grammar's own string probabilities.  The productions that may
+rewrite a pending nonterminal come from the one rewrite loop,
+``derivation._rewrites``, over the grammar's one compiled view: they are
+the rewrites of the form (recent tokens, that nonterminal).
 
 ``ngram_train`` builds a k-gram predictor: the state is the last
 ``min(k, len(context))`` tokens, transition counts are plain maximum
@@ -45,7 +48,6 @@ family is declared infinite-state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,9 +60,10 @@ from .autoregressive import (
     TokenDistribution,
     UnknownTokenError,
 )
+from .derivation import _compiled, _rewrites
 from .grammar import ProductionClass, classify_production, validate_grammar
 from .stochastic import DeadEndError, WeightedGrammar, ZeroMassError
-from .symbols import Symbol, SymbolString, terminal
+from .symbols import Symbol, SymbolString, nonterminal, terminal
 
 
 class NotLeftLinearizableError(ValueError):
@@ -79,17 +82,6 @@ class ImpossibleContextError(ValueError):
 # Grammar-backed predictor
 
 
-@dataclass(frozen=True)
-class _Expansion:
-    """One production prepared for belief expansion at a pending nonterminal."""
-
-    gamma: tuple[str, ...]  # terminal left context required of the emitted prefix
-    emitted: tuple[str, ...]  # terminals the production appends
-    next_nt: str | None  # trailing nonterminal of the appended part, if any
-    misshapen: bool  # appended part is not "terminals then one nonterminal"
-    weight: Fraction
-
-
 _Status = tuple[tuple[str, ...], str | None]  # (unemitted buffer, pending nonterminal)
 _Belief = dict[_Status, int]  # numerators over one shared denominator
 _Rule = tuple[tuple[tuple[_Status, int], ...], int]  # (child, weight) pairs and their total
@@ -105,11 +97,14 @@ class GrammarPredictor:
     rounded quotient of its numerator and the denominator.
 
     The candidates that rewrite a pending nonterminal after a recent window
+    are the one rewrite loop's rewrites of the form (window, nonterminal):
+    its one nonterminal is last and every production is left
+    context-sensitive, so each keeps the window and appends to it.  They
     form a rule, built once and memoized: its children with integer weight
-    numerators over their integer total (the weights are floats, so each
-    is a dyadic rational).  There are at most |N| rules per window of at
-    most k tokens, for k the longest production context: about |N| x |V|^k.
-    A rule that fails is not stored, so it fails again on every use.
+    numerators over their integer total (the weights are floats, so each is
+    a dyadic rational).  There are at most |N| rules per window of at most
+    k tokens, for k the longest production context: about |N| x |V|^k.  A
+    rule that fails is not stored, so it fails again on every use.
 
     Each call resumes from the longest prefix of its context already
     consumed, so the state argument is accepted for protocol uniformity but
@@ -134,21 +129,9 @@ class GrammarPredictor:
         )
         self._terminals = {s for s in g.terminals if s.is_terminal}
         self._context_need = max((len(p.lhs) - 1 for p in g.productions), default=0)
-        self._table: dict[str, list[_Expansion]] = {}
-        for p, w in zip(g.productions, wg.weights):
-            gamma = p.lhs[:-1]
-            if not gamma.is_all_terminal():
-                continue  # can never match an all-terminal emitted prefix
-            appended = p.rhs[len(gamma):]
-            next_nt: str | None = None
-            body = appended
-            if len(body) and body[-1].is_nonterminal:
-                next_nt = body[-1].name
-                body = body[:-1]
-            misshapen = not body.is_all_terminal()
-            self._table.setdefault(p.lhs[-1].name, []).append(
-                _Expansion(gamma.names(), body.names(), next_nt, misshapen, Fraction(w))
-            )
+        self._rewritable = len({p.lhs[-1] for p in g.productions})
+        self._by_head = _compiled(g).by_head
+        self._weights = [Fraction(w) for w in wg.weights]
         self._rules: dict[tuple[str, tuple[str, ...]], _Rule] = {}
         belief, den = self._expand({((), g.start.name): 1}, 1, ())
         # memo of consumed contexts; grows with the distinct contexts seen
@@ -163,25 +146,25 @@ class GrammarPredictor:
         rule = self._rules.get((nt, recent))
         if rule is not None:
             return rule
-        candidates = [
-            e
-            for e in self._table.get(nt, [])
-            if len(e.gamma) <= len(recent) and recent[len(recent) - len(e.gamma):] == e.gamma
-        ]
+        form = (*map(terminal, recent), nonterminal(nt))
+        candidates = sorted(_rewrites(form, self._by_head))  # in production order
         if not candidates:
             raise DeadEndError(f"no production rewrites {nt} after {recent}")
-        if not any(e.weight for e in candidates):
+        weights = [self._weights[index] for index, _, _ in candidates]
+        if not any(weights):
             raise ZeroMassError(f"weights for {nt} sum to zero after {recent}")
-        if any(e.misshapen for e in candidates):
-            raise NotLeftLinearizableError(
-                "a reachable form places a nonterminal left of a terminal"
-            )
-        scale = math.lcm(*(e.weight.denominator for e in candidates))
+        scale = math.lcm(*[w.denominator for w in weights])
         children: dict[_Status, int] = {}
-        for e in candidates:
-            child: _Status = (e.emitted, e.next_nt)
-            weight = e.weight.numerator * (scale // e.weight.denominator)
-            children[child] = children.get(child, 0) + weight
+        for (_, _, after), w in zip(candidates, weights):
+            body, last = after[len(recent):], None
+            if body[-1].is_nonterminal:
+                body, last = body[:-1], body[-1].name
+            if any(s.is_nonterminal for s in body):
+                raise NotLeftLinearizableError(
+                    "a reachable form places a nonterminal left of a terminal"
+                )
+            child: _Status = (tuple([s.name for s in body]), last)
+            children[child] = children.get(child, 0) + w.numerator * (scale // w.denominator)
         total = sum(children.values())
         g = math.gcd(total, *children.values())
         rule = tuple((child, w // g) for child, w in children.items()), total // g
@@ -194,12 +177,12 @@ class GrammarPredictor:
         """Drain every (empty buffer, pending nonterminal) entry; reduce the result.
 
         A status pending after round r ends a chain of r unit rewrites, each
-        by a nonterminal with a stored table entry.  So after one round more
-        than there are entries some nonterminal repeats on every such chain,
-        and the mass cycles forever; a failing rule on a longer chain also
-        ends a shorter one, so it has raised by then.
+        of a nonterminal that ends some left side.  So after one round more
+        than there are such nonterminals some nonterminal repeats on every
+        such chain, and the mass cycles forever; a failing rule on a longer
+        chain also ends a shorter one, so it has raised by then.
         """
-        for _ in range(len(self._table) + 1):
+        for _ in range(self._rewritable + 1):
             pending = {
                 s: self._rule(s[1], recent) for s in belief if not s[0] and s[1] is not None
             }

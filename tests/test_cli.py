@@ -295,6 +295,15 @@ def test_induce_refuses_infinite_state_families(capsys):
     assert "infinite-state" in err
 
 
+def test_induce_refuses_a_token_that_would_render_as_a_weight(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a p=2\np=2 a\n")
+    code, out, err = run(["induce", "--predictor", "ngram", "--corpus", str(corpus)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: symbol name 'p=2' collides with the grammar file syntax\n"
+
+
 def test_induce_state_budget_exhausts(capsys):
     code, _, err = run(
         [

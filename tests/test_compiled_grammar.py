@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lcsg.predictors
 import lcsg.stochastic
 from conftest import load_grammar, random_left_cs_grammar
 from lcsg import (
@@ -34,6 +35,7 @@ from lcsg import (
     derives_bounded,
     enumerate_language,
     exact_distribution,
+    grammar_predictor,
     induce_grammar,
     ngram_train,
     nonterminal,
@@ -400,6 +402,46 @@ def test_enumeration_and_exact_probabilities_share_one_search():
     g = load_grammar("abc.grammar")
     assert string_probability(WeightedGrammar.from_grammar(g), w) > 0.0
     assert list(_compiled(g).searches) == [key]
+
+
+# A's rewrite depends on the token before it, and S recurs after x.
+GATED = (
+    "start: S\nterminals: a b x y\nnonterminals: S A\n"
+    "S -> a A | b A\na A -> a x S\nb A -> b y\n"
+)
+
+
+def test_the_grammar_predictor_lists_each_rule_once_from_the_one_view(monkeypatch):
+    forms: list[tuple] = []
+
+    def counted(symbols, by_head):
+        forms.append(symbols)
+        return rewrites(symbols, by_head)
+
+    rewrites = lcsg.predictors._rewrites
+    monkeypatch.setattr(lcsg.predictors, "_rewrites", counted)
+    g = parse_grammar(GATED)
+    pred = grammar_predictor(WeightedGrammar.from_grammar(g))
+    S, A = g.symbol("S"), g.symbol("A")
+    a, b, x = g.symbol("a"), g.symbol("b"), g.symbol("x")
+    assert forms == [(S,)]
+    # One call per new (nonterminal, window) rule, in the order first met.
+    for names, new in [
+        ("a", [(a, A)]),
+        ("a x", [(x, S)]),
+        ("a x a", []),  # (A, a) again, after a new context
+        ("b", [(b, A)]),
+        ("a x a", []),  # a repeated context
+    ]:
+        before = len(forms)
+        pred.next_distribution(pred.initial_state, g.string_of(names.split()))
+        assert forms[before:] == new, names
+    # The predictor reads the view that the grammar's searches use.
+    view = _compiled(g)
+    assert pred._by_head is view.by_head
+    assert derives_bounded(g, g.string_of("a x b y".split())) is not None
+    assert _compiled(g) is view and list(view.searches) == [(4, DEFAULT_FUEL)]
+    assert len(forms) == 4  # the search's calls go through derivation's own name
 
 
 def test_the_cache_is_freed_with_its_grammar():

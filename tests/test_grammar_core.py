@@ -320,6 +320,27 @@ def test_parse_render_round_trip_on_fixtures():
         assert render_grammar(parse_grammar(rendered)) == rendered, name
 
 
+def one_production(start: Symbol, rhs: tuple) -> Grammar:
+    """``start -> rhs`` alone, with every symbol declared."""
+    terminals = frozenset(x for x in rhs if x.is_terminal)
+    return Grammar(frozenset({start}), terminals, start, (Production(s(start), s(*rhs)),))
+
+
+@pytest.mark.parametrize(
+    "start, rhs, name",
+    [
+        (A, (a, terminal("p=2")), "p=2"),  # would read back as A -> a with weight 2.0
+        (nonterminal("#S"), (a,), "#S"),  # would turn its production line into a comment
+        (nonterminal("start:S"), (a,), "start:S"),  # would read as a second start declaration
+    ],
+)
+def test_render_refuses_a_name_the_parser_reads_as_syntax(start, rhs, name):
+    g = one_production(start, rhs)
+    assert validate_grammar(g).is_valid
+    with pytest.raises(ValueError, match=re.escape(f"symbol name {name!r} collides")):
+        render_grammar(g)
+
+
 def test_parse_reads_weights_and_lambda():
     g = parse_grammar(
         "start: S\nterminals: a\nnonterminals: S\nS -> a S p=0.25\nS -> _ p=0.75\n"

@@ -147,6 +147,18 @@ def test_zero_mass_candidates_are_an_error():
         pred.next_distribution(pred.initial_state, toks("a"))
 
 
+def test_two_failing_rules_in_one_round_raise_in_production_order():
+    # After a, A rewrites to C by production 1 and to B by production 2; C
+    # has zero mass there and B no production at all.
+    wg = wg_from(
+        "start: S\nterminals: a x\nnonterminals: S A B C\n"
+        "S -> a A\nA -> C\na A -> a B\nC -> x p=0\nx C -> x x\n"
+    )
+    pred = grammar_predictor(wg)
+    with pytest.raises(ZeroMassError, match="weights for C"):
+        pred.next_distribution(pred.initial_state, toks("a"))
+
+
 def test_unit_production_cycles_are_capped():
     wg = wg_from("start: S\nterminals: a\nnonterminals: S A\nS -> A\nA -> S\nS -> a\n")
     with pytest.raises(ValueError, match="did not settle"):
@@ -165,14 +177,14 @@ def test_a_unit_cycle_whose_mass_splits_is_reported():
 
 
 def test_an_acyclic_unit_chain_settles_in_the_last_round():
-    # S -> A1 -> ... -> A6 -> a takes one round per table entry, plus one
-    # to find nothing pending.
+    # S -> A1 -> ... -> A6 -> a takes one round per nonterminal that ends a
+    # left side, plus one to find nothing pending.
     names = [f"A{i}" for i in range(1, 7)]
     chain = ["S"] + names
     lines = [f"{lhs} -> {rhs}" for lhs, rhs in zip(chain, names)] + ["A6 -> a"]
     text = f"start: S\nterminals: a\nnonterminals: {' '.join(chain)}\n" + "\n".join(lines) + "\n"
     pred = grammar_predictor(wg_from(text))
-    assert len(pred._table) == 7
+    assert pred._rewritable == 7
     assert entries_of(pred, toks()) == {"a:T": 1.0, "<END>": 0.0}
 
 
