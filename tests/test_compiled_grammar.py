@@ -413,12 +413,12 @@ GATED = (
 
 def test_the_grammar_predictor_lists_each_rule_once_from_the_one_view(monkeypatch):
     forms: list[tuple] = []
+    rewrites = lcsg.predictors._rewrites
 
     def counted(symbols, by_head):
         forms.append(symbols)
         return rewrites(symbols, by_head)
 
-    rewrites = lcsg.predictors._rewrites
     monkeypatch.setattr(lcsg.predictors, "_rewrites", counted)
     g = parse_grammar(GATED)
     pred = grammar_predictor(WeightedGrammar.from_grammar(g))
