@@ -3,8 +3,12 @@
 ``apply_step`` rewrites a single window of a sentential form.  ``_rewrites``
 is the one loop that lists every one-step rewrite of a form, in (position,
 production index) lexicographic order, which fixes the exploration order
-everywhere else.  Each is a bare ``(index, position, symbols)`` tuple, which
-``successors`` wraps, the search only if kept, the sampler only if drawn.
+everywhere else.  It works on coded forms (below), and gives each rewrite as
+a bare ``(position, index, after)`` tuple, ``after`` coded too.
+``successors`` and ``normalize_weights`` encode their form on the way in,
+the sampler carries the coded form of each step it draws, and each splices
+the symbols of a rewrite it returns from the production's sides; the
+grammar predictor decodes the rewrites its rules keep.
 
 ``derives_bounded`` and ``enumerate_language`` run a breadth-first search
 over sentential forms whose minimal terminal yield stays within the length
@@ -21,50 +25,63 @@ the frontier raises :class:`FuelExhaustedError`, a deliberately distinct
 outcome from a definitive "not derivable".
 
 Each ``Grammar`` is compiled once, on first use, into a view that the
-grammar instance itself holds (:func:`_compiled`).  It groups the
-productions by the first ``Symbol`` of their lhs, so ``_rewrites`` tries at
-each position only the productions that start with the symbol there.  On
-the first search it also holds the search profile: the nullable symbols
-and, by production, the yield change ``min_yield(rhs) - min_yield(lhs)``.
-The minimal yield sums over a form's symbols, so a rewrite changes it by
-exactly that in all three accepted shapes: the change in length for
-monotone grammars (-1 for the start erasure), the change in non-nullable
-symbols for erasing context-free ones.  A search adds it to the parent's
-yield, kept in a list of the search's own, and tests the child against the
-bound before it looks the child up.  And it keeps the last
-``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
-repeated queries on one grammar object share a search, the exact
-probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  That one cache drops the least recently used search
-first, and each search keeps the last exact-probability sweep over it with
-the weights it read: one float per terminal string, so a repeated string
-probability is a look-up.  A sweep is dropped with its search.  Nothing is
-kept from a call that raises: a search that runs out of fuel returns and
-is kept, but a sweep over it raises and is not.  The view is freed with
-its grammar and is never pickled.
+grammar instance itself holds (:func:`_compiled`).  The view gives each
+symbol of the productions a one-character code, in order of first
+appearance, and the start symbol the next one if no production holds it; one
+more code, in no left side, stands for every symbol outside the grammar.  A
+form is coded as the string of its symbols' codes, so a terminal and a
+nonterminal of one name stay apart.  Code points run out past 1 114 111
+distinct symbols, since the last of the 1 114 112 is kept for the symbols
+outside: compiling a grammar with more raises ``ValueError``.  Each distinct
+left side, coded, is filed under its first nonterminal, which every left
+side has.  ``_rewrites`` takes the filed nonterminals that occur in a form,
+finds every occurrence of each left side filed under them with ``str.find``,
+overlapping ones included, and sorts the hits by (position, production
+index).  On the first search the view also holds the search profile,
+computed once from the coded sides: the nullable symbols and, by production,
+the yield change ``min_yield(rhs) - min_yield(lhs)``.  The minimal yield
+sums over a form's symbols, so a rewrite changes it by exactly that in all
+three accepted shapes: the change in length for monotone grammars (-1 for
+the start erasure), the change in non-nullable symbols for erasing
+context-free ones.  A search adds it to the parent's yield, kept in a list
+of the search's own, and tests the child against the bound before it looks
+the child up.  And it keeps the last ``_SEARCH_CACHE_SIZE`` (16) searches,
+keyed by ``(max_len, fuel)``, so that repeated queries on one grammar object
+share a search, the exact probabilities of :mod:`lcsg.stochastic` included;
+an equal grammar parsed again starts cold.  That one cache drops the least
+recently used search first, and each search keeps the last exact-probability
+sweep over it with the weights it read: one float per terminal string, so a
+repeated string probability is a look-up.  A sweep is dropped with its
+search.  Nothing is kept from a call that raises: a search that runs out of
+fuel returns and is kept, but a sweep over it raises and is not.  The view
+is freed with its grammar and is never pickled.
 
 Each form a search reaches gets an id, its place in breadth-first order,
-from the one map keyed by forms, on their symbol tuples.  By id, the search
-keeps the form, wrapped when kept, and the step that first reached it as a
+from the one map keyed by coded forms: a ``str`` caches its hash, and no
+form but a terminal string is wrapped in a ``SymbolString``.  By id, the
+search keeps the coded form and the step that first reached it as a
 ``(parent id, production index, position)`` triple; it builds no
-:class:`DerivationStep`.  The first ``derives_bounded`` of a terminal string
-walks the parent ids back to the start, builds the steps of that one chain
-and keeps them in the search's trace store, keyed by the string's id; every
-call wraps the kept steps in a new :class:`DerivationTrace` without checking
-the chain again, since it is chained by construction.  The store keeps
-steps, not traces, so it refers to no grammar; it holds at most one entry
-per terminal string the search kept and is dropped with its search.  For
-each form it expands, the search also records every rewrite in
-successor order, as the production index and the child's id, or ``None``
-where the child leaves the bound, and, once, the ids of the terminal
-strings among the forms it expands, in id order.  Enumeration reads its
-strings from that list, and exact probabilities read the record as one
-graph over ids, swept in one topological order of its cycles; neither
-tests a form for terminals, and the sweep expands no form itself and looks
-a form up only for the terminal strings it absorbs.  A search expands at
-most ``fuel`` forms, so a completed search keeps at most ``fuel`` forms,
-each with its triple; one that runs out of fuel also keeps the forms it
-reached but did not expand, up to ``fuel`` times the largest number of
+:class:`DerivationStep`.  For each form it expands, it also records every
+rewrite in successor order, as the production index and the child's id, or
+``None`` where the child leaves the bound.  When it ends it decodes its
+terminal strings, and only those, once, into one map from their symbol
+tuples to their ids in id order, and wraps each once:  ``derives_bounded``
+looks its target up in the map, and ``enumerate_language`` and the sweep
+read the wrapped strings.  Exact probabilities read the record as one graph
+over ids, swept in one topological order of its cycles; neither they nor
+enumeration test a form for terminals, and the sweep expands no form itself.
+The first ``derives_bounded`` of a terminal string walks the parent ids back
+to the start, splicing each step's form from the one after it, and keeps the
+steps of that one chain in the search's trace store, keyed by the string's
+id; every call wraps the kept steps in a new :class:`DerivationTrace`
+without checking the chain again, since it is chained by construction.  The
+store keeps steps, not traces, so it refers to no grammar; it holds at most
+one entry per terminal string the search kept and is dropped with its
+search.  The record's ``forms``, every kept form as a ``SymbolString``, is
+decoded only when first read, and no library path reads it.  A search
+expands at most ``fuel`` forms, so a completed search keeps at most ``fuel``
+forms, each with its triple; one that runs out of fuel also keeps the forms
+it reached but did not expand, up to ``fuel`` times the largest number of
 rewrites of one form, plus one.  Either way it records at most ``fuel``
 times that number of rewrites, each a pair of an index and an id.
 """
@@ -72,6 +89,8 @@ times that number of rewrites, each a pair of an index and an id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 from .grammar import Grammar, Production, validate_grammar
 from .symbols import Symbol, SymbolString
@@ -155,81 +174,103 @@ def apply_step(w: SymbolString, p: Production, position: int) -> SymbolString:
     return w[:position] + p.rhs + w[position + len(p.lhs):]
 
 
-def _rewrites(symbols: tuple[Symbol, ...], by_head: dict) -> list[tuple[int, int, tuple]]:
-    """Every one-step rewrite of the form ``symbols``, as (production index,
-    position, after), in successor order; ``after`` is a bare symbol tuple."""
-    out: list[tuple[int, int, tuple]] = []
-    for position, head in enumerate(symbols):
-        for index, width, second, rest, rhs in by_head.get(head, ()):
-            # Interned symbols: ``is`` tells kinds apart; a cut-short window never matches.
-            end = position + width
-            if second is None or (
-                end <= len(symbols) and symbols[position + 1] is second
-                and (not rest or symbols[position + 2:end] == rest)
-            ):
-                out.append((index, position, symbols[:position] + rhs + symbols[end:]))
-    return out
+
+
+def _rewrites(form: str, view: _CompiledGrammar) -> list[tuple[int, int, str]]:
+    """Every one-step rewrite of the coded form ``form``, as (position,
+    production index, after), in successor order, which is the order of
+    these tuples; ``after`` is coded too."""
+    table = view.table
+    hits: list[tuple[int, int, str]] = []
+    sides = 0  # left sides found; one alone lists its hits in order
+    for head in view.filed.intersection(form):
+        for lhs, width, entries in table[head]:
+            position = form.find(lhs)
+            sides += position >= 0
+            while position >= 0:
+                before, rest = form[:position], form[position + width:]
+                for index, rhs in entries:
+                    hits.append((position, index, before + rhs + rest))
+                position = form.find(lhs, position + 1)
+    if sides > 1:
+        hits.sort()  # (position, index) pairs are distinct, so no string is compared
+    return hits
 
 
 def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
     """All one-step rewrites of ``w``, ordered by (position, production index)."""
+    view = _compiled(g)
+    symbols = w.symbols
     return [
-        DerivationStep(w, index, position, SymbolString._of(after))
-        for index, position, after in _rewrites(w.symbols, _compiled(g).by_head)
+        DerivationStep(w, index, position, SymbolString._of(view.splice(symbols, index, position)))
+        for position, index, _ in _rewrites(view.encode(symbols), view)
     ]
 
 
-def _nullable_closure(g: Grammar) -> frozenset[Symbol]:
-    """The symbols that derive the empty string; every lhs here is one symbol."""
-    nullable: set[Symbol] = set()
+def _profile(view: _CompiledGrammar, g: Grammar) -> tuple[frozenset[str], list[int]]:
+    """Vet the grammar for bounded search; return its nullable codes and, by
+    production, its yield changes.
+
+    The nullable set is empty for purely monotone grammars (including the
+    permitted lone ``start ->`` empty production), and the nullable closure
+    for single-nonterminal-lhs grammars with erasing productions.
+    """
+    sides = view.coded
+    changes = [len(rhs) - len(lhs) for lhs, rhs in sides]
+    if min(changes, default=0) >= 0:
+        return frozenset(), changes
+    if any(len(lhs) > 1 for lhs, _ in sides):
+        if not validate_grammar(g).noncontracting:
+            raise NotNoncontractingError(
+                "grammar mixes shrinking productions with multi-symbol left sides"
+            )
+        # Only the permitted start erasure shrinks; it fires once, at the start form.
+        return frozenset(), changes
+    nullable: set[str] = set()  # each lhs here is one code
     changed = True
     while changed:
         changed = False
-        for p in g.productions:
-            head = p.lhs[0]
-            if head in nullable:
-                continue
-            if all(s in nullable for s in p.rhs):
-                nullable.add(head)
+        for lhs, rhs in sides:
+            if lhs not in nullable and nullable.issuperset(rhs):
+                nullable.add(lhs)
                 changed = True
-    return frozenset(nullable)
+    erase = dict.fromkeys(map(ord, nullable))
+    return frozenset(nullable), [
+        len(rhs.translate(erase)) - len(lhs.translate(erase)) for lhs, rhs in sides
+    ]
 
 
 def _search_profile(g: Grammar) -> frozenset[Symbol]:
     """Vet the grammar for bounded search; return the nullable symbol set.
 
-    The returned set is empty for purely monotone grammars (including the
-    permitted lone ``start ->`` empty production), and the nullable closure
-    for single-nonterminal-lhs grammars with erasing productions.
+    The first call per grammar object computes the profile and keeps it on
+    the compiled view; a grammar the search refuses raises on every call.
     """
-    shrinking = [p for p in g.productions if len(p.rhs) < len(p.lhs)]
-    if not shrinking:
-        return frozenset()
-    if all(len(p.lhs) == 1 for p in g.productions):
-        return _nullable_closure(g)
-    if validate_grammar(g).noncontracting:
-        # Only the permitted start erasure shrinks; it fires once, at the start form.
-        return frozenset()
-    raise NotNoncontractingError(
-        "grammar mixes shrinking productions with multi-symbol left sides"
-    )
+    view = _compiled(g)
+    if view.nullable is None:
+        nullable, view.yield_changes = _profile(view, g)
+        view.nullable = frozenset(view.decode("".join(nullable)))
+    return view.nullable
 
 
 @dataclass
 class _Reachability:
     # A form's id is its place in breadth-first order; ``ids`` maps each
-    # form's symbols to it, and the lists are indexed by it: the form, the
+    # coded form to it, and the lists are indexed by it: the coded form, the
     # step that first reached it as (parent id, production index, position)
     # (None for the start form), and for each form expanded its rewrites in
     # successor order as (production index, the child's id, or None where it
-    # leaves the bound).  ``strings`` holds the ids of the terminal strings
-    # among the forms expanded, in id order.  No form's yield is kept: the
-    # search derives yields as it goes.
-    ids: dict[tuple[Symbol, ...], int]
-    forms: list[SymbolString]
+    # leaves the bound).  ``found`` maps the symbol tuple of each terminal
+    # string kept to its id, in id order, decoded once when the search ends,
+    # and ``words`` holds the same strings wrapped, in the same order.  No
+    # form's yield is kept: the search derives yields as it goes.
+    ids: dict[str, int]
+    coded: list[str]
     steps: list[tuple[int, int, int] | None]
     rewrites: list[tuple[tuple[int, int | None], ...]]
-    strings: list[int]
+    symbols: tuple[Symbol, ...]  # the view's decoding table, for ``forms``
+    found: dict[tuple[Symbol, ...], int] = field(default_factory=dict)
+    words: list[SymbolString] = field(default_factory=list)
     completed: bool = False
     # The last exact-probability sweep over this search, as (weights, the
     # absorbed mass of each terminal string), or None before the first.
@@ -239,37 +280,81 @@ class _Reachability:
     # most one entry per terminal string kept; no grammar is referred to.
     traces: dict[int, tuple[DerivationStep, ...]] = field(default_factory=dict)
 
+    @cached_property
+    def forms(self) -> list[SymbolString]:
+        """Every kept form by id, decoded on first access; no library path reads it."""
+        symbols = self.symbols
+        return [SymbolString._of(tuple([symbols[ord(c)] for c in form])) for form in self.coded]
+
 
 class _CompiledGrammar:
     """What rewriting and the bounded search need of one grammar.
 
-    ``by_head`` maps each lhs's first ``Symbol``, an interned key that keeps
-    kinds apart, to the productions whose lhs starts with it, in index
-    order, as ``(index, lhs length, second lhs symbol or None, lhs[2:],
-    rhs)``.  ``nullable`` is ``_search_profile``'s set, or ``None`` until the
-    first search computes it; that search also fills ``yield_changes``, by
-    production index, each ``min_yield(rhs) - min_yield(lhs)``, the exact
-    change a rewrite by that production makes to its form's minimal yield.
-    ``searches``, the one cache, keeps the last ``_SEARCH_CACHE_SIZE``
-    bounded searches, keyed by ``(max_len, fuel)`` and least recently used
-    first; each holds the last sweep of :mod:`lcsg.stochastic` over it and
-    its trace store.
+    ``codes`` gives each symbol of the productions its one-character code,
+    in order of first appearance, and then the start symbol if no production
+    holds it; ``symbols`` decodes, by code point, and ``stranger``, the next
+    code, stands for any other symbol.  ``sides`` holds each production's
+    (lhs, rhs) symbol tuples by index, for splicing forms as symbols, and
+    ``coded`` the same pairs coded.  ``table`` files each distinct coded
+    left side under its first nonterminal's code, in order of first
+    appearance, with the productions that have it, in index order, as
+    ``(coded lhs, its length, [(index, coded rhs), ...])``; ``filed`` is the
+    set of those nonterminals and ``nonterminals`` the codes of all.  ``nullable`` is
+    ``_search_profile``'s set, or ``None`` until the first search computes
+    it; that search also fills ``yield_changes``, by production index, each
+    ``min_yield(rhs) - min_yield(lhs)``, the exact change a rewrite by that
+    production makes to its form's minimal yield.  ``searches``, the one
+    cache, keeps the last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by
+    ``(max_len, fuel)`` and least recently used first; each holds the last
+    sweep of :mod:`lcsg.stochastic` over it and its trace store.
     """
 
     def __init__(self, g: Grammar) -> None:
-        self.by_head: dict[Symbol, list[tuple]] = {}
-        for index, p in enumerate(g.productions):
-            lhs = p.lhs.symbols
-            second = lhs[1] if len(lhs) > 1 else None
-            entry = (index, len(lhs), second, lhs[2:], p.rhs.symbols)
-            self.by_head.setdefault(lhs[0], []).append(entry)
+        self.sides = [(p.lhs.symbols, p.rhs.symbols) for p in g.productions]
+        # Each symbol once, in order of first appearance.
+        symbols = dict.fromkeys(chain.from_iterable(chain.from_iterable(self.sides)))
+        symbols[g.start] = None
+        self.symbols = tuple(symbols)
+        self.codes = codes = dict(zip(self.symbols, map(chr, range(len(symbols)))))
+        self.stranger = chr(len(codes))  # past the last code point, ValueError
+        self.nonterminals = nonterminals = frozenset(
+            code for s, code in codes.items() if s.is_nonterminal
+        )
+        self.coded = [
+            ("".join([codes[s] for s in lhs]), "".join([codes[s] for s in rhs]))
+            for lhs, rhs in self.sides
+        ]
+        self.table: dict[str, list[tuple[str, int, list[tuple[int, str]]]]] = {}
+        entries_of: dict[str, list[tuple[int, str]]] = {}  # by coded left side
+        for index, (lhs, rhs) in enumerate(self.coded):
+            entries = entries_of.get(lhs)
+            if entries is None:
+                entries = entries_of[lhs] = []
+                for head in lhs:
+                    if head in nonterminals:
+                        break
+                self.table.setdefault(head, []).append((lhs, len(lhs), entries))
+            entries.append((index, rhs))
+        self.filed = frozenset(self.table)
         self.nullable: frozenset[Symbol] | None = None
         self.yield_changes: list[int] = []
         self.searches: dict[tuple[int, int], _Reachability] = {}
 
-    def min_yield(self, symbols: tuple[Symbol, ...]) -> int:
-        """The fewest terminals the form ``symbols`` can derive."""
-        return sum(s not in self.nullable for s in symbols) if self.nullable else len(symbols)
+    def encode(self, symbols: tuple[Symbol, ...]) -> str:
+        """The coded form of ``symbols``; a symbol outside the grammar gets ``stranger``."""
+        codes, stranger = self.codes, self.stranger
+        return "".join([codes.get(s, stranger) for s in symbols])
+
+    def decode(self, form: str) -> tuple[Symbol, ...]:
+        """The symbols of a coded form that holds no stranger."""
+        symbols = self.symbols
+        return tuple([symbols[ord(code)] for code in form])
+
+    def splice(self, symbols: tuple[Symbol, ...], index: int, position: int) -> tuple[Symbol, ...]:
+        """``symbols`` rewritten by production ``index`` at ``position``, a
+        window the rewrite loop matched, so unchecked."""
+        lhs, rhs = self.sides[index]
+        return symbols[:position] + rhs + symbols[position + len(lhs):]
 
 
 def _compiled(g: Grammar) -> _CompiledGrammar:
@@ -306,52 +391,74 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         raise ValueError("max_len must be >= 0")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    if view.nullable is None:
-        view.nullable = _search_profile(g)
-        view.yield_changes = [
-            view.min_yield(p.rhs.symbols) - view.min_yield(p.lhs.symbols) for p in g.productions
-        ]
-    by_head, yield_changes = view.by_head, view.yield_changes
-    initial = SymbolString((g.start,))
-    ids, forms, steps, rewrites, strings = {initial.symbols: 0}, [initial], [None], [], []
-    reach = _Reachability(ids, forms, steps, rewrites, strings)
-    yields = [view.min_yield(initial.symbols)]  # by id; the record keeps no yield
+    nullable = _search_profile(g)
+    yield_changes, nonterminals = view.yield_changes, view.nonterminals
+    start = view.codes[g.start]
+    ids, coded, steps, rewrites = {start: 0}, [start], [None], []
+    reach = _Reachability(ids, coded, steps, rewrites, view.symbols)
+    strings: list[int] = []  # the ids of the terminal strings kept
+    yields = [int(g.start not in nullable)]  # by id; the record keeps no yield
     # The form to expand next is the one whose id is the number expanded so far.
-    while len(rewrites) < len(forms):
+    while len(rewrites) < len(coded):
         parent = len(rewrites)
         if parent >= fuel:
-            return reach
-        form, base = forms[parent], yields[parent]
+            # The terminal strings reached but not expanded are kept too.
+            strings += [i for i in range(parent, len(coded)) if nonterminals.isdisjoint(coded[i])]
+            break
+        form, base = coded[parent], yields[parent]
         out: list[tuple[int, int | None]] = []
-        for index, position, symbols in _rewrites(form.symbols, by_head):
+        for position, index, after in _rewrites(form, view):
             child_yield = base + yield_changes[index]
             if child_yield <= max_len:
-                child = ids.get(symbols)
+                child = ids.get(after)
                 if child is None:
-                    child = ids[symbols] = len(forms)
-                    forms.append(SymbolString._of(symbols))
+                    child = ids[after] = len(coded)
+                    coded.append(after)
                     steps.append((parent, index, position))
                     yields.append(child_yield)
             else:
                 # Left the bound: every kept form but the start fits it, and
                 # a start above it is reached again only by its own rewrite.
-                child = ids.get(symbols) if base > max_len else None
+                child = ids.get(after) if base > max_len else None
             out.append((index, child))
-        if not out and form.is_all_terminal():
+        if not out and nonterminals.isdisjoint(form):
             strings.append(parent)
         rewrites.append(tuple(out))
-    reach.completed = True
+    else:
+        reach.completed = True
+    reach.found = {view.decode(coded[i]): i for i in strings}
+    reach.words = [SymbolString._of(w) for w in reach.found]
     return reach
 
 
-def _chain(reach: _Reachability, i: int) -> tuple[DerivationStep, ...]:
-    """The steps from the start form to form ``i``, read back along parent ids."""
-    forms, parents = reach.forms, reach.steps
+def _chain(
+    sides: list[tuple[tuple[Symbol, ...], tuple[Symbol, ...]]],
+    parents: list[tuple[int, int, int] | None],
+    i: int,
+    final: SymbolString,
+) -> tuple[DerivationStep, ...]:
+    """The steps from the start form to form ``i``, which is ``final``, read
+    back along parent ids; each step's form is spliced from the one after it.
+
+    The forms and steps are built without their dataclass ``__init__``: the
+    forms need no check, being spliced from checked ones, and building them
+    is most of a first query's time.
+    """
+    new = object.__new__
     steps: list[DerivationStep] = []
+    after = final
     while (step := parents[i]) is not None:
-        parent, index, position = step
-        steps.append(DerivationStep(forms[parent], index, position, forms[i]))
-        i = parent
+        i, index, position = step
+        lhs, rhs = sides[index]
+        symbols = after.symbols
+        before = new(SymbolString)
+        before.__dict__["symbols"] = symbols[:position] + lhs + symbols[position + len(rhs):]
+        made = new(DerivationStep)
+        fields = made.__dict__
+        fields["before"], fields["production_index"] = before, index
+        fields["position"], fields["after"] = position, after
+        steps.append(made)
+        after = before
     steps.reverse()
     return tuple(steps)
 
@@ -369,10 +476,10 @@ def derives_bounded(
     if not target.is_all_terminal():
         raise ValueError(f"target must contain only terminals: {target}")
     reach = _bounded_reachability(g, len(target), fuel)
-    if (i := reach.ids.get(target.symbols)) is not None:
+    if (i := reach.found.get(target.symbols)) is not None:
         steps = reach.traces.get(i)
         if steps is None:
-            steps = reach.traces[i] = _chain(reach, i)
+            steps = reach.traces[i] = _chain(_compiled(g).sides, reach.steps, i, target)
         return DerivationTrace._of(g, steps)
     if reach.completed:
         return None
@@ -386,6 +493,6 @@ def enumerate_language(
     reach = _bounded_reachability(g, max_len, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted enumerating up to length {max_len}")
-    # The search recorded its terminal strings; each fits the bound, since its
+    # The search decoded its terminal strings; each fits the bound, since its
     # minimal yield is its length.
-    return {reach.forms[i] for i in reach.strings}
+    return set(reach.words)

@@ -130,7 +130,7 @@ class GrammarPredictor:
         self._terminals = {s for s in g.terminals if s.is_terminal}
         self._context_need = max((len(p.lhs) - 1 for p in g.productions), default=0)
         self._rewritable = len({p.lhs[-1] for p in g.productions})
-        self._by_head = _compiled(g).by_head
+        self._view = _compiled(g)
         self._weights = [Fraction(w) for w in wg.weights]
         self._rules: dict[tuple[str, tuple[str, ...]], _Rule] = {}
         belief, den = self._expand({((), g.start.name): 1}, 1, ())
@@ -146,17 +146,19 @@ class GrammarPredictor:
         rule = self._rules.get((nt, recent))
         if rule is not None:
             return rule
-        form = (*map(terminal, recent), nonterminal(nt))
-        candidates = sorted(_rewrites(form, self._by_head))  # in production order
+        view = self._view
+        form = view.encode((*map(terminal, recent), nonterminal(nt)))
+        # In production order: an index appears once, as the form has one nonterminal.
+        candidates = sorted([(index, after) for _, index, after in _rewrites(form, view)])
         if not candidates:
             raise DeadEndError(f"no production rewrites {nt} after {recent}")
-        weights = [self._weights[index] for index, _, _ in candidates]
+        weights = [self._weights[index] for index, _ in candidates]
         if not any(weights):
             raise ZeroMassError(f"weights for {nt} sum to zero after {recent}")
         scale = math.lcm(*[w.denominator for w in weights])
         children: dict[_Status, int] = {}
-        for (_, _, after), w in zip(candidates, weights):
-            body, last = after[len(recent):], None
+        for (_, after), w in zip(candidates, weights):
+            body, last = view.decode(after[len(recent):]), None
             if body[-1].is_nonterminal:
                 body, last = body[:-1], body[-1].name
             if any(s.is_nonterminal for s in body):

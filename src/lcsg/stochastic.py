@@ -56,6 +56,7 @@ from .derivation import (
     FuelExhaustedError,
     _bounded_reachability,
     _compiled,
+    _CompiledGrammar,
     _Reachability,
     _rewrites,
 )
@@ -145,14 +146,17 @@ def _renormalized(items: list, raw: list[float]) -> list[tuple]:
     return [(item, w / total) for item, w in zip(items, raw)]
 
 
-def _step_distribution(wg: WeightedGrammar, form: SymbolString) -> list[tuple[tuple, float]]:
-    """``form``'s rewrites (index, position, after) renormalized, in successor order."""
-    rewrites = _rewrites(form.symbols, _compiled(wg.grammar).by_head)
+def _step_distribution(
+    wg: WeightedGrammar, view: _CompiledGrammar, form: SymbolString, coded: str
+) -> list[tuple[tuple, float]]:
+    """``form``'s rewrites (position, index, coded after) renormalized, in
+    successor order; ``coded`` is ``form`` coded by ``view``, its grammar's."""
+    rewrites = _rewrites(coded, view)
     if not rewrites:
         if form.is_all_terminal():
             raise ValueError(f"form is all-terminal, no steps apply: {form}")
         raise DeadEndError(f"no applicable step at {form}")
-    distribution = _renormalized(rewrites, [wg.weights[r[0]] for r in rewrites])
+    distribution = _renormalized(rewrites, [wg.weights[r[1]] for r in rewrites])
     if not distribution:
         raise ZeroMassError(f"applicable weights sum to zero at {form}")
     return distribution
@@ -162,10 +166,14 @@ def normalize_weights(
     wg: WeightedGrammar, form: SymbolString
 ) -> list[tuple[DerivationStep, float]]:
     """The renormalized step distribution at ``form``, in successor order."""
-    return [
-        (DerivationStep(form, index, position, SymbolString._of(after)), p)
-        for (index, position, after), p in _step_distribution(wg, form)
-    ]
+    view = _compiled(wg.grammar)
+    symbols = form.symbols
+    distribution = _step_distribution(wg, view, form, view.encode(symbols))
+    steps = []
+    for (position, index, _), p in distribution:
+        after = SymbolString._of(view.splice(symbols, index, position))
+        steps.append((DerivationStep(form, index, position, after), p))
+    return steps
 
 
 def sample_derivation(
@@ -179,10 +187,12 @@ def sample_derivation(
         raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
     g = wg.grammar
+    view = _compiled(g)
     form = SymbolString((g.start,))
+    coded = view.codes[g.start]
     steps: list[DerivationStep] = []
     while not form.is_all_terminal() and len(steps) < max_steps:
-        distribution = _step_distribution(wg, form)
+        distribution = _step_distribution(wg, view, form, coded)
         u = rng.random()
         cumulative = 0.0
         chosen = distribution[-1][0]
@@ -191,9 +201,10 @@ def sample_derivation(
             if u < cumulative:
                 chosen = rewrite
                 break
-        index, position, after = chosen
-        steps.append(DerivationStep(form, index, position, SymbolString._of(after)))
-        form = steps[-1].after
+        position, index, coded = chosen
+        after = SymbolString._of(view.splice(form.symbols, index, position))
+        steps.append(DerivationStep(form, index, position, after))
+        form = after
     return SampledDerivation(DerivationTrace._of(g, tuple(steps)), not form.is_all_terminal())
 
 
@@ -233,8 +244,8 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     that determines ``w``'s mass unchanged.
 
     Edges and mass live in lists indexed by the search's form ids.  The
-    kept terminal strings, the sinks that absorb mass, are the ids the search
-    recorded in ``reach.strings``; the sweep tests no form itself.  The
+    kept terminal strings, the sinks that absorb mass, are the ids in the
+    search's ``reach.found``; the sweep tests no form itself.  The
     rewrites of positive probability between non-terminal forms split them
     into strongly connected components, visited once, sources first
     (:func:`_components`), so each component has its whole inflow when the
@@ -252,16 +263,15 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
     that outflow to 0 and give negative mass.  A float-singular solve
     raises ``ValueError``.
     """
-    forms = reach.forms  # a completed search expanded each one
-    escaped = len(forms)  # the slot of ``mass`` that collects what leaves the bound
+    escaped = len(reach.coded)  # the slot of ``mass`` that collects what leaves the bound
     terminal = [False] * escaped
-    for i in reach.strings:
+    for i in reach.found.values():  # a completed search expanded each form
         terminal[i] = True
     # Each non-terminal form's rewrites as (child id, probability); a form
     # with no rewrite, or zero mass, gets none.  ``inner`` keeps the
     # positive ones to a non-terminal form.
-    edges: list[list[tuple[int, float]]] = [[] for _ in forms]
-    inner: list[list[int]] = [[] for _ in forms]
+    edges: list[list[tuple[int, float]]] = [[] for _ in range(escaped)]
+    inner: list[list[int]] = [[] for _ in range(escaped)]
     for i, rewrites in enumerate(reach.rewrites):
         if terminal[i]:
             continue
@@ -313,7 +323,7 @@ def _sweep(wg: WeightedGrammar, reach: _Reachability) -> dict[SymbolString, floa
             raise ValueError("a cycle's solve is singular in floating point") from None
         for k, f in enumerate(component):
             pass_on(f, float(visits[k]))
-    return {forms[i]: mass[i] for i in reach.strings}
+    return {w: mass[i] for w, i in zip(reach.words, reach.found.values())}
 
 
 def _components(ids: list[int], inner: list[list[int]]) -> list[list[int]]:

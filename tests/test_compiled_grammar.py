@@ -1,8 +1,8 @@
-"""The compiled view a grammar holds, the strings a search and the sampler
-wrap, the steps a search and its queries build, the yields a search
-computes, the forms a search never hashes or tests for terminals, its one
-search cache with the sweep and the trace store each search keeps, and
-pickling.
+"""The compiled view a grammar holds and its coded table, the strings a
+search and the sampler wrap, the steps a search and its queries build, the
+yields a search computes, the forms a search never hashes or tests for
+terminals, its one search cache with the sweep and the trace store each
+search keeps, and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
@@ -66,11 +66,32 @@ def test_the_view_is_built_on_first_use_not_at_parse():
     assert view.searches == {}
 
 
-def test_the_index_groups_productions_by_lhs_head_in_index_order(abc):
+def test_the_table_files_each_left_side_under_its_first_nonterminal(abc):
     view = _compiled(abc)
-    assert {head.name: [e[0] for e in entries] for head, entries in view.by_head.items()} == {
-        "S": [0, 1], "C": [2], "a": [3], "b": [4, 5], "c": [6],
+    # Codes by first appearance in the productions, the next one for strangers.
+    assert [s.name for s in view.symbols] == ["S", "a", "B", "C", "b", "c"]
+    assert view.codes == {s: chr(i) for i, s in enumerate(view.symbols)}
+    assert view.stranger == chr(6)
+
+    def named(code):
+        return " ".join(s.name for s in view.decode(code))
+
+    filed = {
+        named(head): [(named(lhs), [index for index, _ in entries]) for lhs, _, entries in sides]
+        for head, sides in view.table.items()
     }
+    assert filed == {
+        "S": [("S", [0, 1])],
+        "C": [("C B", [2]), ("b C", [5]), ("c C", [6])],
+        "B": [("a B", [3]), ("b B", [4])],
+    }
+    assert view.filed == frozenset(view.table)
+    for sides in view.table.values():
+        for lhs, width, entries in sides:
+            assert width == len(lhs)
+            for index, rhs in entries:
+                p = abc.productions[index]
+                assert (view.decode(lhs), view.decode(rhs)) == (p.lhs.symbols, p.rhs.symbols)
 
 
 def test_the_cache_keeps_at_most_its_bound():
@@ -99,13 +120,16 @@ def count_wraps(monkeypatch) -> list[tuple]:
     return wrapped
 
 
-def test_a_cold_search_wraps_only_the_forms_it_keeps(monkeypatch):
+def test_a_cold_search_wraps_only_its_terminal_strings(monkeypatch):
     g = load_grammar("crossserial.grammar")
     wrapped = count_wraps(monkeypatch)
     reach = _bounded_reachability(g, 10, DEFAULT_FUEL)
-    # One per kept form but the start form, which is built checked.
-    assert len(wrapped) == len(reach.forms) - 1
-    assert sum(len(rewrites) for rewrites in reach.rewrites) > len(wrapped)
+    # Forms stay coded; only the terminal strings are decoded, each once.
+    assert len(reach.coded) > 100 > len(reach.found) > 0
+    assert wrapped == list(reach.found)
+    assert [w.symbols for w in reach.words] == wrapped
+    # Enumeration wraps none again.
+    assert len(enumerate_language(g, 10)) == len(wrapped)
 
 
 def induced_bigram_grammar():
@@ -127,6 +151,12 @@ def count_steps(monkeypatch) -> list[DerivationStep]:
     return built
 
 
+def live_steps() -> int:
+    """How many ``DerivationStep``s are alive, after a full collection."""
+    gc.collect()
+    return sum(type(o) is DerivationStep for o in gc.get_objects())
+
+
 def test_a_cold_search_builds_no_step(monkeypatch):
     g = load_grammar("crossserial.grammar")
     built = count_steps(monkeypatch)
@@ -142,15 +172,27 @@ def test_a_trace_is_built_once_per_target(monkeypatch):
     g = load_grammar("abc.grammar")
     member = g.string_of(["a"] * 5 + ["b"] * 5 + ["c"] * 5)
     reach = _bounded_reachability(g, 15, DEFAULT_FUEL)
+    # A chain's steps are built without ``__init__``; count calls to
+    # ``_chain`` and the steps alive instead.
     built = count_steps(monkeypatch)
+    chains: list[tuple[DerivationStep, ...]] = []
+    chain = lcsg.derivation._chain
+
+    def counted(*args):
+        chains.append(chain(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(lcsg.derivation, "_chain", counted)
+    before = live_steps()
     first = derives_bounded(g, member)
-    assert len(built) == len(first.steps) > 20  # the target's chain, once
-    built.clear()
+    assert live_steps() - before == len(first.steps) > 20  # the target's chain, once
+    assert [len(c) for c in chains] == [len(first.steps)]
     again = derives_bounded(g, member)
-    assert built == []
+    assert live_steps() - before == len(first.steps)
+    assert len(chains) == 1 and built == []
     assert again == first and again is not first
     assert again.steps is first.steps
-    assert reach.traces == {reach.ids[member.symbols]: first.steps}
+    assert reach.traces == {reach.found[member.symbols]: first.steps}
 
 
 @pytest.mark.parametrize(
@@ -194,7 +236,7 @@ def test_the_trace_store_keeps_one_entry_per_terminal_string_it_found():
     for _ in range(2):  # every string of length 6, twice
         for combo in itertools.product(alphabet, repeat=6):
             if derives_bounded(g, SymbolString(combo)) is not None:
-                found.append(reach.ids[combo])
+                found.append(reach.found[combo])
     assert len(found) == 2 * len(reach.traces) > 2
     assert set(reach.traces) == set(found) <= terminals
 
@@ -219,21 +261,24 @@ def test_the_trace_store_is_dropped_with_its_search():
 )
 def test_a_search_computes_yields_per_production_not_per_rewrite(make, bound, monkeypatch):
     g = make()
-    calls: list[tuple] = []
-    min_yield = _CompiledGrammar.min_yield
+    calls: list[_CompiledGrammar] = []
+    profile = lcsg.derivation._profile
 
-    def counted(self, symbols):
-        calls.append(symbols)
-        return min_yield(self, symbols)
+    def counted(view, grammar):
+        calls.append(view)
+        return profile(view, grammar)
 
-    monkeypatch.setattr(_CompiledGrammar, "min_yield", counted)
+    monkeypatch.setattr(lcsg.derivation, "_profile", counted)
     per_grammar = 2 * len(g.productions) + 1  # each side of each production, and the start
     reach = _bounded_reachability(g, bound, DEFAULT_FUEL)
-    assert len(calls) <= per_grammar
+    # One profile, one yield change per production; the start's yield is read
+    # off the nullable set.
+    assert calls == [_compiled(g)]
+    assert len(_compiled(g).yield_changes) == len(g.productions)
     assert sum(len(rewrites) for rewrites in reach.rewrites) > 3 * per_grammar
     calls.clear()
-    _bounded_reachability(g, bound - 1, DEFAULT_FUEL)  # reuses the changes; yields the start
-    assert len(calls) <= 1
+    _bounded_reachability(g, bound - 1, DEFAULT_FUEL)  # reuses the changes
+    assert calls == []
 
 
 def test_a_search_and_the_queries_it_serves_hash_no_form(monkeypatch):
@@ -248,11 +293,13 @@ def test_a_search_and_the_queries_it_serves_hash_no_form(monkeypatch):
         return hash_(self)
 
     monkeypatch.setattr(SymbolString, "__hash__", counted)
-    # Forms are found by their symbol tuples: the search keys nothing by form.
-    _bounded_reachability(g, 15, DEFAULT_FUEL)
+    # Forms are keyed by their codes, terminal strings by their symbol tuples:
+    # the search keys nothing by form, and decodes no form it keeps.
+    reach = _bounded_reachability(g, 15, DEFAULT_FUEL)
     assert len(derives_bounded(g, member).steps) > 20
     assert derives_bounded(g, other) is None
     assert hashed == []
+    assert "forms" not in reach.__dict__
 
 
 def test_the_sampler_wraps_only_the_steps_it_draws(monkeypatch):
@@ -275,10 +322,11 @@ def test_enumeration_and_a_sweep_over_a_kept_search_test_no_form_for_terminals(m
         return is_all_terminal(self)
 
     monkeypatch.setattr(SymbolString, "is_all_terminal", counted)
-    # Both read the terminal strings the search recorded.
-    assert enumerate_language(wg.grammar, 9) == {reach.forms[i] for i in reach.strings}
-    assert len(exact_distribution(wg, 9).probabilities) == len(reach.strings) > 0
+    # Both read the terminal strings the search decoded.
+    assert enumerate_language(wg.grammar, 9) == {SymbolString(w) for w in reach.found}
+    assert len(exact_distribution(wg, 9).probabilities) == len(reach.found) > 0
     assert tested == []
+    assert "forms" not in reach.__dict__
 
 
 def count_sweeps(monkeypatch) -> list[tuple[float, ...]]:
@@ -415,9 +463,9 @@ def test_the_grammar_predictor_lists_each_rule_once_from_the_one_view(monkeypatc
     forms: list[tuple] = []
     rewrites = lcsg.predictors._rewrites
 
-    def counted(symbols, by_head):
-        forms.append(symbols)
-        return rewrites(symbols, by_head)
+    def counted(form, view):
+        forms.append(view.decode(form))
+        return rewrites(form, view)
 
     monkeypatch.setattr(lcsg.predictors, "_rewrites", counted)
     g = parse_grammar(GATED)
@@ -438,7 +486,7 @@ def test_the_grammar_predictor_lists_each_rule_once_from_the_one_view(monkeypatc
         assert forms[before:] == new, names
     # The predictor reads the view that the grammar's searches use.
     view = _compiled(g)
-    assert pred._by_head is view.by_head
+    assert pred._view is view
     assert derives_bounded(g, g.string_of("a x b y".split())) is not None
     assert _compiled(g) is view and list(view.searches) == [(4, DEFAULT_FUEL)]
     assert len(forms) == 4  # the search's calls go through derivation's own name

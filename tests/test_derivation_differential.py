@@ -7,16 +7,26 @@ library must give the same ``successors`` list, in the same (position,
 production index) order, the same search tree (the forms in the order of
 the oracle's parent map, so also the same BFS order, each kept step's
 (parent id, production index, position) triple read as the oracle's parent
-tuple, with that rewrite of the parent giving the form), and the same
-exception type where the oracle raises.
+tuple, with that rewrite of the parent giving the form), the same language
+from ``enumerate_language``, the same verdict and trace from
+``derives_bounded``, and the same exception type where the oracle raises.
 
-The search records its rewrites with a loop of its own, not through
-``successors``, so each search here also checks that record against
-``successors``: the same rewrites in the same order, each child the id of
-the kept form equal to the successor's result (its place in the search's
-breadth-first order, which the id map must invert), or ``None`` exactly
-where that form is not kept; and its list of terminal strings against the
-all-terminal forms it expanded.
+The search keeps its forms as coded strings and records its rewrites with
+a loop of its own, not through ``successors``, so each search here also
+checks that record against ``successors``: the same rewrites in the same
+order, each child the id of the kept form equal to the successor's result
+(its place in the search's breadth-first order, which the id map of coded
+forms must invert, each code decoding to that form), or ``None`` exactly
+where that form is not kept; and its map of terminal strings against the
+all-terminal forms it kept.
+
+Grammars cover what coding a form could get wrong: more than 256 symbols,
+so that codes leave the one-byte range (the drawn searches put, half the
+time, an unreachable production of 301 symbols first, so that every drawn
+symbol's code is past 300); overlapping occurrences of a left side; left
+sides filed under one nonterminal that match at one position; names with
+regex metacharacters and non-ASCII letters; symbols used in productions
+but not declared; and the start erasure and erasing context-free grammars.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from conftest import load_grammar
 from lcsg import (
     Grammar,
     Production,
+    Symbol,
     SymbolString,
     apply_step,
     derives_bounded,
@@ -40,7 +51,8 @@ from lcsg import (
     successors,
     terminal,
 )
-from lcsg.derivation import DEFAULT_FUEL, _bounded_reachability
+from lcsg.derivation import DEFAULT_FUEL, _bounded_reachability, _compiled
+from lcsg.symbols import shortlex
 
 SEARCH_FUEL = 150  # small, so that erasing grammars whose forms grow stop quickly
 
@@ -61,15 +73,18 @@ def assert_same_successors(form: SymbolString, g: Grammar) -> None:
 
 
 def assert_rewrites_match_successors(g: Grammar, reach) -> None:
-    forms = reach.forms  # a form's id is its place here
-    assert reach.ids == {form.symbols: i for i, form in enumerate(forms)}
+    forms = reach.forms  # a form's id is its place here, decoded from its code
+    assert [_compiled(g).encode(form.symbols) for form in forms] == reach.coded
+    assert reach.ids == {code: i for i, code in enumerate(reach.coded)}
     kept = set(forms)
+    assert len(kept) == len(forms)
     assert len(reach.rewrites) <= len(forms)
     if reach.completed:
         assert len(reach.rewrites) == len(forms)
-    # The terminal strings among the forms expanded, all of them once completed.
-    expanded = forms[:len(reach.rewrites)]
-    assert reach.strings == [i for i, form in enumerate(expanded) if form.is_all_terminal()]
+    # Every terminal string kept, expanded or not, by its symbols, in id order.
+    assert list(reach.found.items()) == [
+        (form.symbols, i) for i, form in enumerate(forms) if form.is_all_terminal()
+    ]
     for form, rewrites in zip(forms, reach.rewrites):
         steps = successors(form, g)
         assert [index for index, _ in rewrites] == [s.production_index for s in steps]
@@ -102,8 +117,37 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
     assert_rewrites_match_successors(g, got)
 
 
-def grammar(productions) -> Grammar:
-    lines = ["start: S", "terminals: a b", "nonterminals: S A B"]
+# An unreachable production that gives 301 symbols their codes first.
+PAD = ("F", " ".join(f"t{i}" for i in range(300)))
+
+
+def assert_same_answers(g: Grammar, max_len: int, targets=(), fuel: int = SEARCH_FUEL) -> None:
+    """``assert_same_search`` at ``max_len``; then the same language there,
+    the same verdict and trace for its first members in shortlex order, each
+    of them less its last symbol and each of ``targets`` (lists of terminal
+    names),
+    and the same successors of every form the oracle keeps."""
+    assert_same_search(g, max_len, fuel)
+    language = outcome(oracle.enumerate_language, g, max_len, fuel)
+    assert outcome(enumerate_language, g, max_len, fuel) == language
+    members = sorted(language, key=shortlex)[:12] if isinstance(language, set) else []
+    strings = [SymbolString(tuple(map(terminal, t))) for t in targets]
+    for w in [*members, *(m[:-1] for m in members), *strings]:
+        got = outcome(derives_bounded, g, w, fuel)
+        assert got == outcome(oracle.derives_bounded, g, w, fuel), str(w)
+    reach = outcome(oracle._bounded_reachability, g, max_len, fuel)
+    for form in [] if isinstance(reach, type) else reach.parents:
+        assert_same_successors(form, g)
+
+
+def grammar(productions, pad: bool = False) -> Grammar:
+    lines = [
+        "start: S",
+        "terminals: a b" + (f" {PAD[1]}" if pad else ""),
+        "nonterminals: S A B" + (f" {PAD[0]}" if pad else ""),
+    ]
+    if pad:
+        lines.append(f"{PAD[0]} -> {PAD[1]}")
     for lhs, rhs in productions:
         lines.append(f"{' '.join(lhs)} -> {' '.join(rhs) or '_'}")
     return parse_grammar("\n".join(lines) + "\n")
@@ -128,7 +172,7 @@ def test_named_shapes_match_the_oracle(name):
         for combo in itertools.product(alphabet, repeat=n):
             assert_same_successors(SymbolString(combo), g)
     for max_len in range(6):
-        assert_same_search(g, max_len)
+        assert_same_answers(g, max_len, targets=[["a", "b"], ["b", "b", "a"]])
 
 
 @pytest.mark.parametrize(
@@ -235,6 +279,100 @@ def test_a_four_symbol_left_side_matches_the_oracle():
     assert [(s.production_index, s.position) for s in steps] == [(1, 0), (4, 1), (5, 2)]
 
 
+# --- coded forms: wide codes, overlaps, shared filing, odd names, strays ---
+
+
+def built(start: Symbol, productions, nonterminals=None, terminals=None) -> Grammar:
+    """A grammar constructed directly from (lhs, rhs) symbol lists; it
+    declares every symbol its productions use unless told what to declare."""
+    used = {s for lhs, rhs in productions for s in (*lhs, *rhs)} | {start}
+    return Grammar(
+        frozenset(s for s in used if s.is_nonterminal) if nonterminals is None else nonterminals,
+        frozenset(s for s in used if s.is_terminal) if terminals is None else terminals,
+        start,
+        tuple(
+            Production(SymbolString(tuple(lhs)), SymbolString(tuple(rhs)))
+            for lhs, rhs in productions
+        ),
+    )
+
+
+def test_more_than_256_symbols_match_the_oracle():
+    # S picks one of 150 pairs, each closed in its own context: 301 symbols.
+    S = nonterminal("S")
+    ns = [nonterminal(f"N{i}") for i in range(150)]
+    ts = [terminal(f"t{i}") for i in range(150)]
+    g = built(
+        S,
+        [([S], [n, t]) for n, t in zip(ns, ts)] + [([n, t], [t, t]) for n, t in zip(ns, ts)],
+    )
+    view = _compiled(g)
+    assert len(view.codes) == 301 and view.codes[ts[-1]] == chr(300)
+    form = SymbolString((ts[0], ns[-1], ts[-1], ns[-1], ts[-1]))
+    assert [(s.production_index, s.position) for s in successors(form, g)] == [(299, 1), (299, 3)]
+    assert_same_successors(form, g)
+    assert_same_answers(g, 2, targets=[["t149", "t149"], ["t0", "t149"], ["t7"]])
+    assert len(enumerate_language(g, 2)) == 150
+
+
+def test_overlapping_occurrences_of_a_left_side_match_the_oracle():
+    g = shaped([("S", "A A A"), ("A A", "A B"), ("A", "a"), ("B", "b")])
+    steps = successors(g.string_of("A A A".split()), g)
+    assert [(s.production_index, s.position) for s in steps] == [
+        (1, 0), (2, 0), (1, 1), (2, 1), (2, 2),
+    ]
+    for max_len in range(5):
+        assert_same_answers(g, max_len, targets=[["a", "b", "b"], ["a", "a", "b"]])
+
+
+def test_left_sides_filed_under_one_nonterminal_match_at_one_position():
+    # "A", "A B" and "a A" are all filed under A, and A's two productions
+    # come before and after "A B": the hits are sorted, not listed by side.
+    g = shaped([
+        ("S", "a A B"), ("A", "a"), ("A B", "b b"), ("A", "b"), ("a A", "a b"), ("B", "b"),
+    ])
+    steps = successors(g.string_of("a A B".split()), g)
+    assert [(s.production_index, s.position) for s in steps] == [
+        (4, 0), (1, 1), (2, 1), (3, 1), (5, 2),
+    ]
+    alphabet = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for n in range(5):
+        for combo in itertools.product(alphabet, repeat=n):
+            assert_same_successors(SymbolString(combo), g)
+    for max_len in range(5):
+        assert_same_answers(g, max_len, targets=[["a", "b", "a"]])
+
+
+def test_names_with_regex_metacharacters_and_non_ascii_letters_match_the_oracle():
+    S, A, B = nonterminal(".*"), nonterminal("(A|"), nonterminal("Ω")
+    a, b, c = terminal("\\d"), terminal("é$"), terminal("[^日]")
+    g = built(S, [
+        ([S], [a, A, B]), ([a, A], [a, b]), ([A], [c]), ([b, B], [b, c]), ([c, B], [c, A]),
+    ])
+    for n in range(4):
+        for combo in itertools.product((S, A, B, a, b, c), repeat=n):
+            assert_same_successors(SymbolString(combo), g)
+    targets = [[x.name for x in combo] for combo in itertools.product((a, b, c), repeat=3)]
+    for max_len in range(5):
+        assert_same_answers(g, max_len, targets)
+    assert derives_bounded(g, SymbolString((a, b, c))) is not None
+
+
+def test_symbols_used_in_productions_but_not_declared_match_the_oracle():
+    # Only S and a are declared; A, B and b appear in the productions alone,
+    # and the undeclared stranger z only in queried forms.
+    S, A, B = nonterminal("S"), nonterminal("A"), nonterminal("B")
+    a, b, z = terminal("a"), terminal("b"), terminal("z")
+    productions = [([S], [a, A]), ([a, A], [a, B, b]), ([B], [a]), ([A], [b])]
+    g = built(S, productions, nonterminals=frozenset({S}), terminals=frozenset({a}))
+    for n in range(4):
+        for combo in itertools.product((S, A, B, a, b, z), repeat=n):
+            assert_same_successors(SymbolString(combo), g)
+    for max_len in range(5):
+        assert_same_answers(g, max_len, targets=[["a", "a", "b"], ["a", "z"], ["z"]])
+    assert enumerate_language(g, 3) == {SymbolString((a, b)), SymbolString((a, a, b))}
+
+
 # --- the fixtures: enumeration and derivation traces too ---
 
 
@@ -319,40 +457,65 @@ small = settings(max_examples=150, deadline=None, suppress_health_check=[HealthC
 max_len_st = st.integers(min_value=2, max_value=6)
 
 
+pad_st = st.booleans()
+# Terminal strings to query, members or not, with a terminal outside the grammar.
+targets_st = st.lists(st.lists(st.sampled_from(("a", "b", "z")), max_size=6), max_size=3)
+
+
 @small
 @given(
     productions=with_duplicates(st.lists(production_st, min_size=1, max_size=6)),
     forms=st.lists(st.lists(symbol_st, max_size=5), min_size=1, max_size=4),
+    pad=pad_st,
 )
-def test_successors_match_the_oracle(productions, forms):
-    g = grammar(productions)
+def test_successors_match_the_oracle(productions, forms, pad):
+    g = grammar(productions, pad)
     for names in forms:
         assert_same_successors(g.string_of(names), g)
 
 
 @small
-@given(productions=searchable(monotone_st, erasing=False), max_len=max_len_st)
-def test_monotone_searches_match_the_oracle(productions, max_len):
-    assert_same_search(grammar(productions), max_len)
+@given(
+    productions=searchable(monotone_st, erasing=False),
+    max_len=max_len_st,
+    pad=pad_st,
+    targets=targets_st,
+)
+def test_monotone_searches_match_the_oracle(productions, max_len, pad, targets):
+    assert_same_answers(grammar(productions, pad), max_len, targets)
 
 
 @small
-@given(productions=searchable(context_free_st, erasing=True), max_len=max_len_st)
-def test_erasing_context_free_searches_match_the_oracle(productions, max_len):
-    assert_same_search(grammar(productions), max_len)
+@given(
+    productions=searchable(context_free_st, erasing=True),
+    max_len=max_len_st,
+    pad=pad_st,
+    targets=targets_st,
+)
+def test_erasing_context_free_searches_match_the_oracle(productions, max_len, pad, targets):
+    assert_same_answers(grammar(productions, pad), max_len, targets)
 
 
 @small
 @given(
     productions=searchable(s_free_monotone_st, erasing=False, start_on_rhs=False),
     max_len=max_len_st,
+    pad=pad_st,
+    targets=targets_st,
 )
-def test_start_erasure_beside_monotone_rules_matches_the_oracle(productions, max_len):
-    assert_same_search(grammar([(["S"], [])] + productions), max_len)
+def test_start_erasure_beside_monotone_rules_matches_the_oracle(
+    productions, max_len, pad, targets
+):
+    assert_same_answers(grammar([(["S"], [])] + productions, pad), max_len, targets)
 
 
 @small
-@given(productions=searchable(production_st, erasing=True), max_len=max_len_st)
-def test_any_searches_match_the_oracle(productions, max_len):
+@given(
+    productions=searchable(production_st, erasing=True),
+    max_len=max_len_st,
+    pad=pad_st,
+    targets=targets_st,
+)
+def test_any_searches_match_the_oracle(productions, max_len, pad, targets):
     # Mostly refused shapes: both sides must raise the same error.
-    assert_same_search(grammar(productions), max_len)
+    assert_same_answers(grammar(productions, pad), max_len, targets)

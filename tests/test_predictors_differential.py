@@ -13,8 +13,11 @@ token and a unit cycle.  The oracle runs here with its expansion cap
 lowered from 10 000 rounds to 64: a unit cycle whose mass keeps splitting
 grows its exact denominators every round, and the oracle's ``Fraction``
 arithmetic then takes minutes to reach the full cap.  The library stops
-one round after its number of rewrite-table entries, far below 64 here,
-and must still raise what the oracle raises.
+one round after its number of nonterminals that end a left side, far below
+64 here, and must still raise what the oracle raises.  A second strategy
+draws rounds in which two different rules fail, so that which of them
+raises first, the one the oracle reaches first in production order, is
+checked too.
 
 The library's toy attention computes only the last row of the matrix.  Its
 probabilities must agree with the oracle's within 1e-12, with the same
@@ -154,6 +157,51 @@ def test_grammar_steps_match_the_oracle(wg, walks, randoms):
     contexts = [c for choices in walks for c in walk(wg, choices)]
     contexts += [SymbolString(tuple(r)) for r in randoms]
     assert_same_steps(wg, contexts)
+
+
+# How a drawn rule fails: no production at all, only zero weights in the
+# context reached (a positive one waits in context b, which is never
+# reached), or a nonterminal left of a terminal.
+FAILING = {
+    "dead-end": lambda z: [],
+    "zero-mass": lambda z: [(z, "c", 0.0), (f"b {z}", "b c", 1.0)],
+    "misshapen": lambda z: [(z, "Q c", 1.0)],
+}
+
+
+@st.composite
+def two_failing_rules(draw):
+    """A grammar whose rule for A, after the drawn prefix, gives two pending
+    nonterminals X and Y whose own rules fail in different ways.
+
+    A's two productions keep left contexts of drawn lengths, so the rewrite
+    loop can list them out of production order, and come in a drawn order.
+    Returns the weighted grammar and the prefix, as names.
+    """
+    prefix = draw(st.lists(st.sampled_from("ac"), min_size=1, max_size=3))
+    kinds = draw(st.permutations(sorted(FAILING)))[:2]
+    rules = []
+    for z in "XY":
+        context = prefix[len(prefix) - draw(st.integers(0, len(prefix))):]
+        rules.append((" ".join([*context, "A"]), " ".join([*context, z]), 1.0))
+    rules = draw(st.permutations(rules))
+    rules = [("S", " ".join([*prefix, "A"]), 1.0), *rules]
+    for z, kind in zip("XY", kinds):
+        rules += FAILING[kind](z)
+    lines = ["start: S", "terminals: a b c", "nonterminals: S A X Y Q"]
+    lines += [f"{lhs} -> {rhs} p={w!r}" for lhs, rhs, w in rules]
+    wg = WeightedGrammar.from_grammar(parse_grammar("\n".join(lines) + "\n"))
+    return wg, prefix
+
+
+@SETTINGS
+@given(two_failing_rules())
+def test_two_failing_rules_in_one_round_match_the_oracle(drawn):
+    wg, prefix = drawn
+    failing = SymbolString(tuple(terminal(t) for t in prefix))
+    want = step(oracle.GrammarPredictor(wg), failing)
+    assert want[0] in (DeadEndError, ZeroMassError, NotLeftLinearizableError)
+    assert_same_steps(wg, [SymbolString(()), failing, failing])
 
 
 FIXED = {
