@@ -5,10 +5,11 @@ is the one loop that lists every one-step rewrite of a form, in (position,
 production index) lexicographic order, which fixes the exploration order
 everywhere else.  It works on coded forms (below), and gives each rewrite as
 a bare ``(position, index, after)`` tuple, ``after`` coded too.
-``successors`` and ``normalize_weights`` encode their form on the way in,
-the sampler carries the coded form of each step it draws, and each splices
-the symbols of a rewrite it returns from the production's sides; the
-grammar predictor decodes the rewrites its rules keep.
+``successors`` encodes its form and splices each rewrite's symbols from the
+production's sides.  The sampler walks coded forms and, like the search,
+keeps each step as a (parent, production index, position) triple, from
+which ``_chain`` builds trace steps.  The grammar predictor decodes the
+rewrites its rules keep.
 
 ``derives_bounded`` and ``enumerate_language`` run a breadth-first search
 over sentential forms whose minimal terminal yield stays within the length
@@ -200,11 +201,13 @@ def _rewrites(form: str, view: _CompiledGrammar) -> list[tuple[int, int, str]]:
 def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
     """All one-step rewrites of ``w``, ordered by (position, production index)."""
     view = _compiled(g)
-    symbols = w.symbols
-    return [
-        DerivationStep(w, index, position, SymbolString._of(view.splice(symbols, index, position)))
-        for position, index, _ in _rewrites(view.encode(symbols), view)
-    ]
+    symbols, sides = w.symbols, view.sides
+    steps = []
+    for position, index, _ in _rewrites(view.encode(symbols), view):
+        lhs, rhs = sides[index]  # a window the loop matched, so unchecked
+        after = SymbolString._of(symbols[:position] + rhs + symbols[position + len(lhs):])
+        steps.append(DerivationStep(w, index, position, after))
+    return steps
 
 
 def _profile(view: _CompiledGrammar, g: Grammar) -> tuple[frozenset[str], list[int]]:
@@ -294,7 +297,8 @@ class _CompiledGrammar:
     in order of first appearance, and then the start symbol if no production
     holds it; ``symbols`` decodes, by code point, and ``stranger``, the next
     code, stands for any other symbol.  ``sides`` holds each production's
-    (lhs, rhs) symbol tuples by index, for splicing forms as symbols, and
+    (lhs, rhs) symbol tuples by index, from which ``successors`` splices
+    each form after a rewrite and ``_chain`` each form before one, and
     ``coded`` the same pairs coded.  ``table`` files each distinct coded
     left side under its first nonterminal's code, in order of first
     appearance, with the productions that have it, in index order, as
@@ -349,12 +353,6 @@ class _CompiledGrammar:
         """The symbols of a coded form that holds no stranger."""
         symbols = self.symbols
         return tuple([symbols[ord(code)] for code in form])
-
-    def splice(self, symbols: tuple[Symbol, ...], index: int, position: int) -> tuple[Symbol, ...]:
-        """``symbols`` rewritten by production ``index`` at ``position``, a
-        window the rewrite loop matched, so unchecked."""
-        lhs, rhs = self.sides[index]
-        return symbols[:position] + rhs + symbols[position + len(lhs):]
 
 
 def _compiled(g: Grammar) -> _CompiledGrammar:
@@ -438,7 +436,8 @@ def _chain(
     final: SymbolString,
 ) -> tuple[DerivationStep, ...]:
     """The steps from the start form to form ``i``, which is ``final``, read
-    back along parent ids; each step's form is spliced from the one after it.
+    back along parent ids, a search's or the sampler's; each step's form is
+    spliced from the one after it.
 
     The forms and steps are built without their dataclass ``__init__``: the
     forms need no check, being spliced from checked ones, and building them

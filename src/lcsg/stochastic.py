@@ -7,9 +7,10 @@ distribution, so sampling walks the derivation space step by step.
 Sampling is reproducible by construction: the generator is ``random.Random``
 (MT19937), seeded explicitly, consuming exactly one uniform draw per
 derivation step, and the step is chosen by inverse CDF over the successor
-order of :func:`lcsg.derivation.successors`, though the sampler builds a
-``SymbolString`` and a :class:`DerivationStep` only for the rewrite it
-draws.  Identical seeds therefore yield identical traces on every platform.
+order of :func:`lcsg.derivation.successors`, though the sampler walks coded
+forms and builds its trace's steps once, back from the final form, with
+``derivation._chain``.  Identical seeds therefore yield identical traces on
+every platform.
 
 ``string_probability`` computes the exact total probability of a terminal
 string: the sum over all complete derivations of the product of step
@@ -38,7 +39,7 @@ read, so the first ``string_probability`` per grammar object, weights and
 length pays for the whole bounded language and later ones at that length
 are look-ups, as is one at the bound's length after ``exact_distribution``.
 ``_renormalized`` is the one home of renormalization, for the sampler's
-steps and the sweep's edges alike.
+rewrites, ``normalize_weights``'s steps and the sweep's edges alike.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ from .derivation import (
     DerivationTrace,
     FuelExhaustedError,
     _bounded_reachability,
+    _chain,
     _compiled,
-    _CompiledGrammar,
     _Reachability,
     _rewrites,
+    successors,
 )
 from .grammar import Grammar
 from .symbols import SymbolString, shortlex
@@ -146,34 +148,24 @@ def _renormalized(items: list, raw: list[float]) -> list[tuple]:
     return [(item, w / total) for item, w in zip(items, raw)]
 
 
-def _step_distribution(
-    wg: WeightedGrammar, view: _CompiledGrammar, form: SymbolString, coded: str
-) -> list[tuple[tuple, float]]:
-    """``form``'s rewrites (position, index, coded after) renormalized, in
-    successor order; ``coded`` is ``form`` coded by ``view``, its grammar's."""
-    rewrites = _rewrites(coded, view)
-    if not rewrites:
-        if form.is_all_terminal():
-            raise ValueError(f"form is all-terminal, no steps apply: {form}")
-        raise DeadEndError(f"no applicable step at {form}")
-    distribution = _renormalized(rewrites, [wg.weights[r[1]] for r in rewrites])
-    if not distribution:
+def _refuse(form: SymbolString, rewrites: list) -> None:
+    """Raise why ``form``, whose ``rewrites`` renormalize to nothing, has no step."""
+    if rewrites:
         raise ZeroMassError(f"applicable weights sum to zero at {form}")
-    return distribution
+    if form.is_all_terminal():
+        raise ValueError(f"form is all-terminal, no steps apply: {form}")
+    raise DeadEndError(f"no applicable step at {form}")
 
 
 def normalize_weights(
     wg: WeightedGrammar, form: SymbolString
 ) -> list[tuple[DerivationStep, float]]:
     """The renormalized step distribution at ``form``, in successor order."""
-    view = _compiled(wg.grammar)
-    symbols = form.symbols
-    distribution = _step_distribution(wg, view, form, view.encode(symbols))
-    steps = []
-    for (position, index, _), p in distribution:
-        after = SymbolString._of(view.splice(symbols, index, position))
-        steps.append((DerivationStep(form, index, position, after), p))
-    return steps
+    steps = successors(form, wg.grammar)
+    distribution = _renormalized(steps, [wg.weights[s.production_index] for s in steps])
+    if not distribution:
+        _refuse(form, steps)
+    return distribution
 
 
 def sample_derivation(
@@ -181,18 +173,22 @@ def sample_derivation(
 ) -> SampledDerivation:
     """Sample one derivation from the start symbol, seeded and deterministic.
 
-    A negative ``max_steps`` raises ``ValueError``.
+    A negative ``max_steps`` raises ``ValueError``.  The trace keeps every
+    form, so time and memory are quadratic in the steps where forms grow.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
     g = wg.grammar
     view = _compiled(g)
-    form = SymbolString((g.start,))
-    coded = view.codes[g.start]
-    steps: list[DerivationStep] = []
-    while not form.is_all_terminal() and len(steps) < max_steps:
-        distribution = _step_distribution(wg, view, form, coded)
+    weights, nonterminals = wg.weights, view.nonterminals
+    form = view.codes[g.start]
+    steps: list[tuple[int, int, int] | None] = [None]  # by form, as the search keeps them
+    while not nonterminals.isdisjoint(form) and len(steps) <= max_steps:
+        rewrites = _rewrites(form, view)
+        distribution = _renormalized(rewrites, [weights[r[1]] for r in rewrites])
+        if not distribution:
+            _refuse(SymbolString._of(view.decode(form)), rewrites)  # a walk holds no stranger
         u = rng.random()
         cumulative = 0.0
         chosen = distribution[-1][0]
@@ -201,11 +197,11 @@ def sample_derivation(
             if u < cumulative:
                 chosen = rewrite
                 break
-        position, index, coded = chosen
-        after = SymbolString._of(view.splice(form.symbols, index, position))
-        steps.append(DerivationStep(form, index, position, after))
-        form = after
-    return SampledDerivation(DerivationTrace._of(g, tuple(steps)), not form.is_all_terminal())
+        position, index, form = chosen
+        steps.append((len(steps) - 1, index, position))
+    final = SymbolString._of(view.decode(form))
+    trace = DerivationTrace._of(g, _chain(view.sides, steps, len(steps) - 1, final))
+    return SampledDerivation(trace, not nonterminals.isdisjoint(form))
 
 
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:

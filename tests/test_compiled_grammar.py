@@ -168,6 +168,19 @@ def test_a_cold_search_builds_no_step(monkeypatch):
     assert len(reach.steps) == len(reach.forms) > 100
 
 
+def count_chains(monkeypatch, module) -> list[tuple[DerivationStep, ...]]:
+    """Patch ``_chain`` as ``module`` sees it; return the list of the chains it builds."""
+    chains: list[tuple[DerivationStep, ...]] = []
+    chain = module._chain
+
+    def counted(*args):
+        chains.append(chain(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(module, "_chain", counted)
+    return chains
+
+
 def test_a_trace_is_built_once_per_target(monkeypatch):
     g = load_grammar("abc.grammar")
     member = g.string_of(["a"] * 5 + ["b"] * 5 + ["c"] * 5)
@@ -175,14 +188,7 @@ def test_a_trace_is_built_once_per_target(monkeypatch):
     # A chain's steps are built without ``__init__``; count calls to
     # ``_chain`` and the steps alive instead.
     built = count_steps(monkeypatch)
-    chains: list[tuple[DerivationStep, ...]] = []
-    chain = lcsg.derivation._chain
-
-    def counted(*args):
-        chains.append(chain(*args))
-        return chains[-1]
-
-    monkeypatch.setattr(lcsg.derivation, "_chain", counted)
+    chains = count_chains(monkeypatch, lcsg.derivation)
     before = live_steps()
     first = derives_bounded(g, member)
     assert live_steps() - before == len(first.steps) > 20  # the target's chain, once
@@ -305,10 +311,16 @@ def test_a_search_and_the_queries_it_serves_hash_no_form(monkeypatch):
 def test_the_sampler_wraps_only_the_steps_it_draws(monkeypatch):
     wg = WeightedGrammar.from_grammar(parse_grammar(A_PLUS))  # two rewrites per form
     wrapped = count_wraps(monkeypatch)
+    chains = count_chains(monkeypatch, lcsg.stochastic)
     for seed in range(10):
         sampled = sample_derivation(wg, seed, max_steps=40)
-        assert len(wrapped) == len(sampled.trace.steps) > 0
+        # The walk stays coded: its final form is wrapped once, and one
+        # chain builds the steps it drew, and no rewrite it did not draw.
+        assert wrapped == [sampled.trace.final.symbols]
+        assert len(chains) == 1 and chains[0] is sampled.trace.steps
+        assert len(sampled.trace.steps) > 0
         wrapped.clear()
+        chains.clear()
 
 
 def test_enumeration_and_a_sweep_over_a_kept_search_test_no_form_for_terminals(monkeypatch):

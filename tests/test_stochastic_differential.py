@@ -23,7 +23,12 @@ support.  At the first and last it must also lie within 1e-12 of the oracle's
 where the oracle returns.  A ``string_probability`` read from a
 sweep kept on the grammar must equal, bit for bit, the one a fresh parse
 computes cold.  Likewise ``sample_derivation`` must take the very steps of
-``reference_sample``, or raise the same exception type.
+``reference_sample``, or raise the same exception type with the same
+message, which ``lcsg sample`` prints.  ``reference_sample`` reads
+``normalize_weights``, which in turn must give the very steps of a
+renormalization over ``derivation_oracle.successors``, with bit-identical
+probabilities, or raise as it does: at forms that hold symbols outside the
+grammar, all-terminal forms, dead ends and forms of zero mass.
 
 ``assert_same_distribution`` tags each drawn example with
 ``hypothesis.event``: which reference decided (``dense``, ``rational``, or
@@ -39,21 +44,26 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, currently_in_test_context, event, given, settings
+from hypothesis import HealthCheck, currently_in_test_context, event, example, given, settings
 from hypothesis import strategies as st
 
+import derivation_oracle
 import rational_oracle as rational
 from rational_oracle import within_relative
 import stochastic_oracle as oracle
 from conftest import load_weighted
 from lcsg import (
+    DeadEndError,
     FuelExhaustedError,
     WeightedGrammar,
+    ZeroMassError,
     exact_distribution,
+    nonterminal,
     normalize_weights,
     parse_grammar,
     sample_derivation,
     string_probability,
+    terminal,
 )
 from lcsg.derivation import DEFAULT_FUEL
 from lcsg.symbols import SymbolString
@@ -70,6 +80,17 @@ def outcome(f, *args):
         return f(*args)
     except Exception as exc:  # the exception type is the outcome compared
         return type(exc)
+
+
+class Raised(tuple):
+    """An exception as the outcome compared: its type and its message."""
+
+
+def outcome_and_message(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # lcsg sample prints the message, so it is compared too
+        return Raised((type(exc), str(exc)))
 
 
 def tag(name: str, value) -> None:
@@ -445,12 +466,12 @@ def reference_sample(wg: WeightedGrammar, seed: int, max_steps: int):
 
 def assert_samples_like_the_reference(wg: WeightedGrammar) -> None:
     for seed in range(200):
-        want = outcome(reference_sample, wg, seed, 40)
-        got = outcome(sample_derivation, wg, seed, 40)
-        if isinstance(want, type):
-            assert got is want, seed
+        want = outcome_and_message(reference_sample, wg, seed, 40)
+        got = outcome_and_message(sample_derivation, wg, seed, 40)
+        if isinstance(want, Raised):
+            assert got == want, seed
         else:
-            assert not isinstance(got, type), (seed, got)
+            assert not isinstance(got, Raised), (seed, got)
             assert (list(got.trace.steps), got.truncated) == want, seed
 
 
@@ -465,3 +486,95 @@ def test_fixture_samples_follow_normalize_weights(name):
 @given(parts=grammar_parts_st)
 def test_drawn_samples_follow_normalize_weights(parts):
     assert_samples_like_the_reference(weighted([p for part in parts for p in part]))
+
+
+# --- the step distribution against a renormalization over the oracle ---
+
+
+def reference_distribution(wg: WeightedGrammar, form: SymbolString):
+    """``normalize_weights`` as a renormalization over ``derivation_oracle.successors``."""
+    steps = derivation_oracle.successors(form, wg.grammar)
+    if not steps:
+        if form.is_all_terminal():
+            raise ValueError(f"form is all-terminal, no steps apply: {form}")
+        raise DeadEndError(f"no applicable step at {form}")
+    raw = [wg.weights[step.production_index] for step in steps]
+    total = sum(raw)
+    if total <= 0.0:
+        raise ZeroMassError(f"applicable weights sum to zero at {form}")
+    return [(step, w / total) for step, w in zip(steps, raw)]
+
+
+# A nonterminal outside every grammar, the grammar's symbols, a terminal
+# outside every grammar and one that shares a nonterminal's name;
+# nonterminals first, which hypothesis draws more often.
+FORM_SYMBOLS = (
+    nonterminal("Z"),
+    *map(nonterminal, NONTERMINALS),
+    *map(terminal, TERMINALS),
+    terminal("z"),
+    terminal("S"),
+)
+
+
+def symbols(text: str) -> tuple:
+    """A form written as ``name:T`` and ``name:N`` tokens."""
+    kinds = {"T": terminal, "N": nonterminal}
+    return tuple(kinds[token[-1]](token[:-2]) for token in text.split())
+
+
+def zeroed(productions, indices):
+    """``productions`` with those at ``indices`` weighing 0, unless that leaves
+    a nonterminal no positive rewrite, which ``WeightedGrammar`` refuses."""
+    candidate = [(l, r, 0.0 if i in indices else w) for i, (l, r, w) in enumerate(productions)]
+    return productions if isinstance(outcome(weighted, candidate), type) else candidate
+
+
+@st.composite
+def zero_weighted_case_st(draw):
+    """Productions of every shape of ``grammar_parts_st``, some weighing 0,
+    and a form: half the time a left side of theirs between drawn symbols.
+    Half the time every production that rewrites the form then weighs 0, so
+    that its mass is zero."""
+    productions = [p for part in draw(grammar_parts_st) for p in part]
+    zeros = draw(st.lists(st.booleans(), min_size=len(productions), max_size=len(productions)))
+    productions = zeroed(productions, {i for i, zero in enumerate(zeros) if zero})
+    around = st.lists(st.sampled_from(FORM_SYMBOLS), max_size=2).map(tuple)
+    if draw(st.booleans()):
+        lhs = draw(st.sampled_from(productions))[0]
+        side = tuple(nonterminal(n) if n in NONTERMINALS else terminal(n) for n in lhs)
+        form = draw(around) + side + draw(around)
+    else:
+        form = draw(st.lists(st.sampled_from(FORM_SYMBOLS), min_size=1, max_size=5).map(tuple))
+    if draw(st.booleans()):
+        g = weighted(productions).grammar
+        steps = derivation_oracle.successors(SymbolString(form), g)
+        productions = zeroed(productions, {step.production_index for step in steps})
+    return productions, form
+
+
+ZERO_MASS = [(["S"], ["a", "A"], 1.0), (["a", "A"], ["a", "b"], 0.0), (["b", "A"], ["b", "b"], 1.0)]
+A_PLUS = [(["S"], ["a", "S"], 1.0), (["S"], ["a"], 2.0)]
+
+
+# Each draw takes a few milliseconds; about one in five is a dead end and
+# one in eighteen has zero mass.
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=zero_weighted_case_st())
+@example(case=(A_PLUS, symbols("z:T S:N Z:N S:N")))  # symbols outside the grammar
+@example(case=(A_PLUS, symbols("a:T S:T")))  # all-terminal
+@example(case=(A_PLUS, ()))  # the empty form, all-terminal
+@example(case=(A_PLUS, symbols("a:T Z:N")))  # a dead end outside the grammar
+@example(case=(A_PLUS, symbols("A:N S:T")))  # a dead end on a declared nonterminal
+@example(case=(ZERO_MASS, symbols("a:T A:N")))
+def test_normalize_weights_renormalizes_the_oracle_successors(case):
+    productions, form = case
+    wg, w = weighted(productions), SymbolString(form)
+    want = outcome_and_message(reference_distribution, wg, w)
+    got = outcome_and_message(normalize_weights, wg, w)
+    tag("normalize_weights", want[0].__name__ if isinstance(want, Raised) else "steps")
+    if isinstance(want, Raised):
+        assert got == want
+    else:
+        assert not isinstance(got, Raised), got
+        assert [(step, bits(p)) for step, p in got] == [(step, bits(p)) for step, p in want]
