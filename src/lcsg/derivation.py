@@ -39,11 +39,12 @@ side has.  ``_rewrites`` takes the filed nonterminals that occur in a form,
 finds every occurrence of each left side filed under them with ``str.find``,
 overlapping ones included, and sorts the hits by (position, production
 index).  On the first search the view also holds the search profile,
-computed once from the coded sides: the nullable symbols and, by production,
-the yield change ``min_yield(rhs) - min_yield(lhs)``.  The minimal yield
-sums over a form's symbols, so a rewrite changes it by exactly that in all
-three accepted shapes: the change in length for monotone grammars (-1 for
-the start erasure), the change in non-nullable symbols for erasing
+computed once from the coded sides: the start form's minimal yield and, by
+production, the yield change ``min_yield(rhs) - min_yield(lhs)``; the
+nullable symbols they come from are not kept.  The minimal yield sums over
+a form's symbols, so a rewrite changes it by exactly that in all three
+accepted shapes: the change in length for monotone grammars (-1 for the
+start erasure), the change in non-nullable symbols for erasing
 context-free ones.  A search adds it to the parent's yield, kept in a list
 of the search's own, and tests the child against the bound before it looks
 the child up.  And it keeps the last ``_SEARCH_CACHE_SIZE`` (16) searches,
@@ -58,28 +59,28 @@ fuel returns and is kept, but a sweep over it raises and is not.  The view
 is freed with its grammar and is never pickled.
 
 Each form a search reaches gets an id, its place in breadth-first order,
-from the one map keyed by coded forms: a ``str`` caches its hash, and no
-form but a terminal string is wrapped in a ``SymbolString``.  By id, the
-search keeps the coded form and the step that first reached it as a
-``(parent id, production index, position)`` triple; it builds no
-:class:`DerivationStep`.  For each form it expands, it also records every
-rewrite in successor order, as the production index and the child's id, or
-``None`` where the child leaves the bound.  When it ends it decodes its
-terminal strings, and only those, once, into one map from their symbol
-tuples to their ids in id order, and wraps each once:  ``derives_bounded``
-looks its target up in the map, and ``enumerate_language`` and the sweep
-read the wrapped strings.  Exact probabilities read the record as one graph
-over ids, swept in one topological order of its cycles; neither they nor
-enumeration test a form for terminals, and the sweep expands no form itself.
-The first ``derives_bounded`` of a terminal string walks the parent ids back
-to the start, splicing each step's form from the one after it, and keeps the
-steps of that one chain in the search's trace store, keyed by the string's
-id; every call wraps the kept steps in a new :class:`DerivationTrace`
-without checking the chain again, since it is chained by construction.  The
-store keeps steps, not traces, so it refers to no grammar; it holds at most
-one entry per terminal string the search kept and is dropped with its
-search.  The record's ``forms``, every kept form as a ``SymbolString``, is
-decoded only when first read, and no library path reads it.  A search
+from one map keyed by coded forms that lives only while the search runs: a
+``str`` caches its hash, and no form but a terminal string is wrapped in a
+``SymbolString``.  By id, the search keeps the coded form and the step that
+first reached it as a ``(parent id, production index, position)`` triple;
+it builds no :class:`DerivationStep`.  For each form it expands, it also
+records every rewrite in successor order, as the production index and the
+child's id, or ``None`` where the child leaves the bound.  When it ends it
+decodes its terminal strings, and only those, once, into one map from their
+symbol tuples to their ids in id order, and wraps each once:
+``derives_bounded`` looks its target up in the map, and
+``enumerate_language`` and the sweep read the wrapped strings.  Exact
+probabilities read the record as one graph over ids, swept in one
+topological order of its cycles; neither they nor enumeration test a form
+for terminals, and the sweep expands no form itself.  The first
+``derives_bounded`` of a terminal string walks the parent ids back to the
+start, splicing each step's form from the one after it, and keeps the steps
+of that one chain in the search's trace store, keyed by the string's id;
+every call wraps the kept steps in a new :class:`DerivationTrace` without
+checking the chain again, since it is chained by construction.  The store
+keeps steps, not traces, so it refers to no grammar; it holds at most one
+entry per terminal string the search kept and is dropped with its search.
+The record keeps nothing else that the library does not read.  A search
 expands at most ``fuel`` forms, so a completed search keeps at most ``fuel``
 forms, each with its triple; one that runs out of fuel also keeps the forms
 it reached but did not expand, up to ``fuel`` times the largest number of
@@ -90,7 +91,6 @@ times that number of rewrites, each a pair of an index and an id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 from .grammar import Grammar, Production, validate_grammar
@@ -210,25 +210,26 @@ def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
     return steps
 
 
-def _profile(view: _CompiledGrammar, g: Grammar) -> tuple[frozenset[str], list[int]]:
-    """Vet the grammar for bounded search; return its nullable codes and, by
-    production, its yield changes.
+def _profile(view: _CompiledGrammar, g: Grammar) -> tuple[int, list[int]]:
+    """Vet the grammar for bounded search; return the start form's minimal
+    yield and, by production, its yield changes.
 
-    The nullable set is empty for purely monotone grammars (including the
-    permitted lone ``start ->`` empty production), and the nullable closure
-    for single-nonterminal-lhs grammars with erasing productions.
+    Both count the symbols outside the nullable set, which is empty for
+    purely monotone grammars (including the permitted lone ``start ->``
+    empty production), and the nullable closure for single-nonterminal-lhs
+    grammars with erasing productions.
     """
     sides = view.coded
     changes = [len(rhs) - len(lhs) for lhs, rhs in sides]
     if min(changes, default=0) >= 0:
-        return frozenset(), changes
+        return 1, changes
     if any(len(lhs) > 1 for lhs, _ in sides):
         if not validate_grammar(g).noncontracting:
             raise NotNoncontractingError(
                 "grammar mixes shrinking productions with multi-symbol left sides"
             )
         # Only the permitted start erasure shrinks; it fires once, at the start form.
-        return frozenset(), changes
+        return 1, changes
     nullable: set[str] = set()  # each lhs here is one code
     changed = True
     while changed:
@@ -238,40 +239,25 @@ def _profile(view: _CompiledGrammar, g: Grammar) -> tuple[frozenset[str], list[i
                 nullable.add(lhs)
                 changed = True
     erase = dict.fromkeys(map(ord, nullable))
-    return frozenset(nullable), [
+    return int(view.codes[g.start] not in nullable), [
         len(rhs.translate(erase)) - len(lhs.translate(erase)) for lhs, rhs in sides
     ]
 
 
-def _search_profile(g: Grammar) -> frozenset[Symbol]:
-    """Vet the grammar for bounded search; return the nullable symbol set.
-
-    The first call per grammar object computes the profile and keeps it on
-    the compiled view; a grammar the search refuses raises on every call.
-    """
-    view = _compiled(g)
-    if view.nullable is None:
-        nullable, view.yield_changes = _profile(view, g)
-        view.nullable = frozenset(view.decode("".join(nullable)))
-    return view.nullable
-
-
 @dataclass
 class _Reachability:
-    # A form's id is its place in breadth-first order; ``ids`` maps each
-    # coded form to it, and the lists are indexed by it: the coded form, the
-    # step that first reached it as (parent id, production index, position)
-    # (None for the start form), and for each form expanded its rewrites in
-    # successor order as (production index, the child's id, or None where it
-    # leaves the bound).  ``found`` maps the symbol tuple of each terminal
-    # string kept to its id, in id order, decoded once when the search ends,
-    # and ``words`` holds the same strings wrapped, in the same order.  No
-    # form's yield is kept: the search derives yields as it goes.
-    ids: dict[str, int]
+    # A form's id is its place in breadth-first order, and the lists are
+    # indexed by it: the coded form, the step that first reached it as
+    # (parent id, production index, position) (None for the start form), and
+    # for each form expanded its rewrites in successor order as (production
+    # index, the child's id, or None where it leaves the bound).  ``found``
+    # maps the symbol tuple of each terminal string kept to its id, in id
+    # order, decoded once when the search ends, and ``words`` holds the same
+    # strings wrapped, in the same order.  No form's yield is kept: the
+    # search derives yields as it goes.
     coded: list[str]
     steps: list[tuple[int, int, int] | None]
     rewrites: list[tuple[tuple[int, int | None], ...]]
-    symbols: tuple[Symbol, ...]  # the view's decoding table, for ``forms``
     found: dict[tuple[Symbol, ...], int] = field(default_factory=dict)
     words: list[SymbolString] = field(default_factory=list)
     completed: bool = False
@@ -282,12 +268,6 @@ class _Reachability:
     # has found, the steps of its chain from the start form, built once.  At
     # most one entry per terminal string kept; no grammar is referred to.
     traces: dict[int, tuple[DerivationStep, ...]] = field(default_factory=dict)
-
-    @cached_property
-    def forms(self) -> list[SymbolString]:
-        """Every kept form by id, decoded on first access; no library path reads it."""
-        symbols = self.symbols
-        return [SymbolString._of(tuple([symbols[ord(c)] for c in form])) for form in self.coded]
 
 
 class _CompiledGrammar:
@@ -303,11 +283,12 @@ class _CompiledGrammar:
     left side under its first nonterminal's code, in order of first
     appearance, with the productions that have it, in index order, as
     ``(coded lhs, its length, [(index, coded rhs), ...])``; ``filed`` is the
-    set of those nonterminals and ``nonterminals`` the codes of all.  ``nullable`` is
-    ``_search_profile``'s set, or ``None`` until the first search computes
-    it; that search also fills ``yield_changes``, by production index, each
-    ``min_yield(rhs) - min_yield(lhs)``, the exact change a rewrite by that
-    production makes to its form's minimal yield.  ``searches``, the one
+    set of those nonterminals and ``nonterminals`` the codes of all.
+    ``start_yield`` is the start form's minimal yield, or ``None`` until the
+    first search computes it from ``_profile``; that search also fills
+    ``yield_changes``, by production index, each ``min_yield(rhs) -
+    min_yield(lhs)``, the exact change a rewrite by that production makes to
+    its form's minimal yield.  ``searches``, the one
     cache, keeps the last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by
     ``(max_len, fuel)`` and least recently used first; each holds the last
     sweep of :mod:`lcsg.stochastic` over it and its trace store.
@@ -340,7 +321,7 @@ class _CompiledGrammar:
                 self.table.setdefault(head, []).append((lhs, len(lhs), entries))
             entries.append((index, rhs))
         self.filed = frozenset(self.table)
-        self.nullable: frozenset[Symbol] | None = None
+        self.start_yield: int | None = None
         self.yield_changes: list[int] = []
         self.searches: dict[tuple[int, int], _Reachability] = {}
 
@@ -389,13 +370,14 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         raise ValueError("max_len must be >= 0")
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    nullable = _search_profile(g)
+    if view.start_yield is None:  # a refused grammar raises here on every call
+        view.start_yield, view.yield_changes = _profile(view, g)
     yield_changes, nonterminals = view.yield_changes, view.nonterminals
     start = view.codes[g.start]
-    ids, coded, steps, rewrites = {start: 0}, [start], [None], []
-    reach = _Reachability(ids, coded, steps, rewrites, view.symbols)
+    ids, coded, steps, rewrites = {start: 0}, [start], [None], []  # ids by coded form
+    reach = _Reachability(coded, steps, rewrites)
     strings: list[int] = []  # the ids of the terminal strings kept
-    yields = [int(g.start not in nullable)]  # by id; the record keeps no yield
+    yields = [view.start_yield]  # by id; the record keeps no yield
     # The form to expand next is the one whose id is the number expanded so far.
     while len(rewrites) < len(coded):
         parent = len(rewrites)

@@ -5,6 +5,11 @@ compares :func:`lcsg.successors`, :func:`lcsg.enumerate_language` and
 :func:`lcsg.derives_bounded` against: ``successors`` slices a new
 ``SymbolString`` for every (position, production) pair, and the search
 results sit in a module-level ``lru_cache`` keyed by the whole grammar.
+The grammar vetting and the nullable closure, ``_search_profile`` and
+``_nullable_closure``, are the library's own from before the search coded
+its sides, so that no search here shares the library's profile; the
+stochastic and rational oracles read them from here too.  ``record_forms``
+decodes a library search record's forms for the tests that inspect it.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from lcsg.derivation import (
     DerivationStep,
     DerivationTrace,
     FuelExhaustedError,
-    _search_profile,
+    NotNoncontractingError,
+    _compiled,
     apply_step,
 )
-from lcsg.grammar import Grammar
+from lcsg.grammar import Grammar, validate_grammar
 from lcsg.symbols import Symbol, SymbolString
 
 
@@ -35,6 +41,48 @@ def successors(w: SymbolString, g: Grammar) -> list[DerivationStep]:
             if w[position:position + len(p.lhs)] == p.lhs:
                 steps.append(DerivationStep(w, index, position, apply_step(w, p, position)))
     return steps
+
+
+def _nullable_closure(g: Grammar) -> frozenset[Symbol]:
+    """The symbols that derive the empty string; every lhs here is one symbol."""
+    nullable: set[Symbol] = set()
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            head = p.lhs[0]
+            if head in nullable:
+                continue
+            if all(s in nullable for s in p.rhs):
+                nullable.add(head)
+                changed = True
+    return frozenset(nullable)
+
+
+def _search_profile(g: Grammar) -> frozenset[Symbol]:
+    """Vet the grammar for bounded search; return the nullable symbol set.
+
+    The returned set is empty for purely monotone grammars (including the
+    permitted lone ``start ->`` empty production), and the nullable closure
+    for single-nonterminal-lhs grammars with erasing productions.
+    """
+    shrinking = [p for p in g.productions if len(p.rhs) < len(p.lhs)]
+    if not shrinking:
+        return frozenset()
+    if all(len(p.lhs) == 1 for p in g.productions):
+        return _nullable_closure(g)
+    if validate_grammar(g).noncontracting:
+        # Only the permitted start erasure shrinks; it fires once, at the start form.
+        return frozenset()
+    raise NotNoncontractingError(
+        "grammar mixes shrinking productions with multi-symbol left sides"
+    )
+
+
+def record_forms(g: Grammar, reach) -> list[SymbolString]:
+    """Every form a library search record keeps, by id, decoded through ``g``'s view."""
+    view = _compiled(g)
+    return [SymbolString(view.decode(form)) for form in reach.coded]
 
 
 def _min_yield(form: SymbolString, nullable: frozenset[Symbol]) -> int:

@@ -2,11 +2,13 @@
 
 The reference that the float probabilities of :mod:`lcsg.stochastic` are
 measured against.  It reads a cached search record as the library's sweep
-does, the forms in breadth-first order and the rewrites of each as (production
+does, the forms in breadth-first order, decoded by
+``derivation_oracle.record_forms``, and the rewrites of each as (production
 index, child id or ``None``), and turns every weight into a ``Fraction``;
 ``Fraction(float)`` is exact.  The non-terminal forms of one minimal yield
-make a layer, swept lowest first; the yield is computed here from
-``_search_profile``'s nullable set, not read from the record.  Each layer
+make a layer, swept lowest first; the yield is computed here from the
+nullable set of ``derivation_oracle._search_profile``, the oracle's own
+closure, not read from the record or the library's profile.  Each layer
 is split into the strongly connected components of its positive
 same-layer rewrites (Kosaraju's two passes), taken sources first, and
 each component that receives mass solves ``(I - Q^T) x = inflow`` for its
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from derivation_oracle import _search_profile, record_forms
 from lcsg.derivation import (
     DEFAULT_FUEL,
     FuelExhaustedError,
     _bounded_reachability,
-    _search_profile,
     enumerate_language,
 )
 from lcsg.stochastic import WeightedGrammar
@@ -94,7 +96,7 @@ def _graph(wg: WeightedGrammar, bound: int, fuel: int):
     reach = _bounded_reachability(wg.grammar, bound, fuel)
     if not reach.completed:
         raise FuelExhaustedError(f"fuel {fuel} exhausted computing probabilities to length {bound}")
-    forms = reach.forms
+    forms = record_forms(wg.grammar, reach)
     nullable = _search_profile(wg.grammar)
     least = [sum(s not in nullable for s in form) for form in forms]
     weights = [Fraction(w) for w in wg.weights]

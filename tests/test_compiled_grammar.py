@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 import lcsg.predictors
 import lcsg.stochastic
 from conftest import load_grammar, random_left_cs_grammar
+from derivation_oracle import record_forms
 from lcsg import (
     FuelExhaustedError,
     SymbolString,
@@ -62,7 +63,7 @@ def test_the_view_is_built_on_first_use_not_at_parse():
     successors(SymbolString((g.start,)), g)
     view = _compiled(g)
     assert view is _compiled(g)
-    assert view.nullable is None  # successors needs no search profile
+    assert view.start_yield is None  # successors needs no search profile
     assert view.searches == {}
 
 
@@ -165,7 +166,7 @@ def test_a_cold_search_builds_no_step(monkeypatch):
     # Each kept form but the start records its first step as ids.
     assert reach.steps[0] is None
     assert all(type(step) is tuple and len(step) == 3 for step in reach.steps[1:])
-    assert len(reach.steps) == len(reach.forms) > 100
+    assert len(reach.steps) == len(reach.coded) > 100
 
 
 def count_chains(monkeypatch, module) -> list[tuple[DerivationStep, ...]]:
@@ -236,7 +237,7 @@ def assert_traces_equal_their_validated_rebuild(g, bound: int) -> int:
 def test_the_trace_store_keeps_one_entry_per_terminal_string_it_found():
     g = load_grammar("crossserial.grammar")
     reach = _bounded_reachability(g, 6, DEFAULT_FUEL)
-    terminals = {i for i, form in enumerate(reach.forms) if form.is_all_terminal()}
+    terminals = {i for i, form in enumerate(record_forms(g, reach)) if form.is_all_terminal()}
     alphabet = sorted(g.terminals, key=lambda s: s.name)
     found = []
     for _ in range(2):  # every string of length 6, twice
@@ -418,26 +419,26 @@ def test_a_sweep_that_raises_is_not_kept(text, fuel, error, monkeypatch):
 def test_a_completed_search_keeps_at_most_fuel_forms():
     reach = _bounded_reachability(parse_grammar(THREE_WORDS), 1, 4)
     assert reach.completed
-    assert len(reach.forms) == 4
+    assert len(reach.coded) == 4
 
 
 def test_a_search_out_of_fuel_also_keeps_the_forms_it_did_not_expand():
     # One form expanded, into three rewrites: fuel times three, plus one.
     reach = _bounded_reachability(parse_grammar(THREE_WORDS), 1, 1)
     assert not reach.completed
-    assert len(reach.forms) == 1 * 3 + 1
+    assert len(reach.coded) == 1 * 3 + 1
 
 
 def test_both_search_bounds_hold_at_every_fuel():
     g = load_grammar("crossserial.grammar")  # 25 forms at length 6
     for fuel in range(1, 30):
         reach = _bounded_reachability(g, 6, fuel)
-        expanded = reach.forms[:fuel]
+        expanded = record_forms(g, reach)[:fuel]
         most = max(len(successors(form, g)) for form in expanded)
         if reach.completed:
-            assert len(reach.forms) <= fuel
+            assert len(reach.coded) <= fuel
         else:
-            assert len(reach.forms) <= fuel * most + 1
+            assert len(reach.coded) <= fuel * most + 1
         assert sum(len(rewrites) for rewrites in reach.rewrites) <= fuel * most
 
 
@@ -533,7 +534,7 @@ def test_a_searched_grammar_pickles_without_its_caches():
     w = g.string_of("a a b b c c".split())
     p = string_probability(wg, w)
     enumerate_language(g, 9)
-    assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].forms) > 30
+    assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].coded) > 30
     assert _compiled(g).searches[(6, DEFAULT_FUEL)].sweep[0] == wg.weights
     blob = pickle.dumps(g)
     assert len(blob) == len(blob_before)

@@ -215,6 +215,17 @@ def test_enumerate_with_nullable_symbols():
     assert EMPTY in lang
 
 
+def test_a_start_nullable_only_through_a_chain_erased_last_is_found():
+    # B erases, so A does, so S does; the closure needs a pass per link,
+    # since B's erasure comes after the productions that need it.
+    g = parse_grammar(
+        "start: S\nterminals: b\nnonterminals: S A B\nS -> A A\nS -> b\nA -> B\nB -> _\n"
+    )
+    assert enumerate_language(g, 0) == {EMPTY}
+    trace = derives_bounded(g, EMPTY)
+    assert [step.production_index for step in trace.steps] == [0, 2, 3, 2, 3]
+
+
 def test_enumerate_permits_guarded_start_erasure():
     g = parse_grammar("start: S\nterminals: a\nnonterminals: S\nS -> a\nS -> _\n")
     assert {str(w) for w in enumerate_language(g, 2)} == {"_", "a"}

@@ -73,9 +73,9 @@ def assert_same_successors(form: SymbolString, g: Grammar) -> None:
 
 
 def assert_rewrites_match_successors(g: Grammar, reach) -> None:
-    forms = reach.forms  # a form's id is its place here, decoded from its code
+    forms = oracle.record_forms(g, reach)  # a form's id is its place here
     assert [_compiled(g).encode(form.symbols) for form in forms] == reach.coded
-    assert reach.ids == {code: i for i, code in enumerate(reach.coded)}
+    assert len(set(reach.coded)) == len(reach.coded)  # each form once
     kept = set(forms)
     assert len(kept) == len(forms)
     assert len(reach.rewrites) <= len(forms)
@@ -104,16 +104,17 @@ def assert_same_search(g: Grammar, max_len: int, fuel: int = SEARCH_FUEL) -> Non
         return
     assert not isinstance(got, type), got
     assert got.completed == want.completed
-    assert got.forms == list(want.parents)
-    assert len(got.steps) == len(got.forms)
-    for form, step in zip(got.forms, got.steps):
+    forms = oracle.record_forms(g, got)
+    assert forms == list(want.parents)
+    assert len(got.steps) == len(forms)
+    for form, step in zip(forms, got.steps):
         if step is None:
             assert want.parents[form] is None
         else:
             parent, index, position = step
-            assert type(parent) is int and 0 <= parent < len(got.forms)
-            assert (got.forms[parent], index, position) == want.parents[form]
-            assert apply_step(got.forms[parent], g.productions[index], position) == form
+            assert type(parent) is int and 0 <= parent < len(forms)
+            assert (forms[parent], index, position) == want.parents[form]
+            assert apply_step(forms[parent], g.productions[index], position) == form
     assert_rewrites_match_successors(g, got)
 
 

@@ -1,7 +1,9 @@
 """Every Python source parses as the oldest Python that pyproject.toml allows.
 
 ``ast.parse`` with ``feature_version`` refuses syntax newer than that
-version, such as ``except*``, on any interpreter this suite runs on.
+version, such as ``except*``, on any interpreter this suite runs on.  And
+the test oracles stay independent of the library they check: they import
+no private library name outside a short allowlist.
 """
 
 from __future__ import annotations
@@ -26,3 +28,20 @@ def test_every_source_parses_as_the_oldest_python_allowed():
     assert ROOT / "tests" / "test_sources.py" in sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
+
+
+# The private library names an oracle may read.  The rational oracle sweeps
+# the library's own search record, through its view; the toy-attention
+# position cap and the state-id hash are fixed values that an oracle must
+# share to be compared at all.  Anything else is computed by the oracle.
+ORACLE_PRIVATE_IMPORTS = {"_bounded_reachability", "_compiled", "_MAX_POSITIONS", "_state_hash"}
+
+
+def test_the_oracles_import_no_other_private_library_name():
+    oracles = sorted((ROOT / "tests").glob("*_oracle.py"))
+    assert ROOT / "tests" / "derivation_oracle.py" in oracles
+    for path in oracles:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lcsg":
+                private = {alias.name for alias in node.names if alias.name.startswith("_")}
+                assert private <= ORACLE_PRIVATE_IMPORTS, (path.name, private)
