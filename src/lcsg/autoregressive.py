@@ -13,7 +13,8 @@ is captured in a :class:`GenerationRecord`.
 the context.  Under the greedy policy, probability ties break toward the
 smallest vocabulary index, with ``END`` ordered after every real token.
 The sampling policy consumes one MT19937 draw (``random.Random(seed)``) per
-prediction substep and selects by inverse CDF in that same order.
+prediction substep and selects by inverse CDF in that same order, by the
+rule that also draws each step of :func:`lcsg.stochastic.sample_derivation`.
 
 The context window is unbounded by default.  A bounded sliding window may
 be requested; records whose predictor ever saw a truncated context are
@@ -28,6 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Protocol, Union
 
+from .stochastic import _draw
 from .symbols import Symbol, SymbolString
 
 
@@ -107,12 +109,7 @@ class TokenDistribution:
         return best_token
 
     def sample(self, u: float) -> Token:
-        cumulative = 0.0
-        for token, p in self.entries:
-            cumulative += p
-            if u < cumulative:
-                return token
-        return self.entries[-1][0]
+        return _draw(self.entries, u)
 
 
 @dataclass(frozen=True)

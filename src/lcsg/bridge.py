@@ -8,15 +8,17 @@ dynamic nonterminal A_t, and the run becomes the production sequence
     alpha_t A_t -> alpha_t tau_{t+1} A_{t+1}      (one per emitted token)
     A_T -> lambda
 
-where alpha_t is the context at step t.  Interior productions keep their
-left context intact and append material, so each one is left
-context-sensitive; the closing production erases the last nonterminal and
-is exempt from that check (its appended part is empty, which the form
-rule does not admit).  ``extract_productions`` builds the sequence from a
-record, ``check_left_cs_form`` verifies each production by the one rule
-that also classifies grammar productions as ``LEFT_CS``
-(``grammar._left_cs_defect``), and ``replay`` re-runs the sequence from
-B_dyn to recover the final string.
+where alpha_t is the context at step t.  Each form alpha_t A_t is the
+right side of one production and the left side of the next, so each
+interior left side is the right side before it, one shared tuple.
+Interior productions keep their left context intact and append
+material, so each one is left context-sensitive; the closing production
+erases the last nonterminal and is exempt from that check (its appended
+part is empty, which the form rule does not admit).
+``extract_productions`` builds the sequence from a record in one pass,
+``check_left_cs_form`` verifies each production by the one rule that also
+classifies grammar productions as ``LEFT_CS`` (``grammar._left_cs_defect``),
+and ``replay`` re-runs the sequence from B_dyn to recover the final string.
 
 ``induce_grammar`` goes the other way for finite-state predictors: it
 walks the reachable states breadth-first up to a context-length horizon
@@ -173,34 +175,25 @@ def extract_productions(rec: GenerationRecord) -> tuple[DynamicProduction, ...]:
 
     Always 1 initial + len(rec.steps) interior + 1 terminal productions.
     The interior production for step t carries the context snapshot
-    alpha_t = prompt plus the first t emitted tokens.
+    alpha_t = prompt plus the first t emitted tokens.  Its left side is the
+    very tuple that the production before it has as its right side, so each
+    form of the run is built and held once.
     """
     if not rec.conforming:
         raise NonconformingRecordError(
             "sliding-window records are refused: contexts do not nest"
         )
-    expected = rec.initial_state
-    for i, step in enumerate(rec.steps):
-        if step.state_before != expected:
-            raise ValueError(f"step {i}: recorded states do not chain")
-        expected = step.state_after
-
-    dyn = [DynamicNonterminal(rec.initial_state, 0)]
-    dyn.extend(
-        DynamicNonterminal(step.state_after, i + 1) for i, step in enumerate(rec.steps)
-    )
-    productions = [
-        DynamicProduction("initial", (B_DYN,), tuple(rec.prompt) + (dyn[0],))
-    ]
-    alpha = tuple(rec.prompt)
-    for i, step in enumerate(rec.steps):
-        productions.append(
-            DynamicProduction(
-                "interior", alpha + (dyn[i],), alpha + (step.token, dyn[i + 1])
-            )
-        )
-        alpha = alpha + (step.token,)
-    productions.append(DynamicProduction("terminal", (dyn[-1],), ()))
+    state = rec.initial_state
+    form = tuple(rec.prompt) + (DynamicNonterminal(state, 0),)
+    productions = [DynamicProduction("initial", (B_DYN,), form)]
+    for t, step in enumerate(rec.steps):
+        if step.state_before != state:
+            raise ValueError(f"step {t}: recorded states do not chain")
+        state = step.state_after
+        grown = form[:-1] + (step.token, DynamicNonterminal(state, t + 1))
+        productions.append(DynamicProduction("interior", form, grown))
+        form = grown
+    productions.append(DynamicProduction("terminal", form[-1:], ()))
     return tuple(productions)
 
 
@@ -256,11 +249,8 @@ def build_trace_report(rec: GenerationRecord) -> TraceReport:
         result: SymbolString | None = replay(productions)
     except ReplayMismatchError:
         result = None
-    checks_ok = all(
-        c.status is FormCheckStatus.PASS
-        for c, p in zip(checks, productions)
-        if p.kind != "terminal"
-    )
+    # the last production, and only it, is the closing one
+    checks_ok = all(c.status is FormCheckStatus.PASS for c in checks[:-1])
     return TraceReport(
         productions=productions,
         form_checks=checks,

@@ -40,17 +40,17 @@ finds every occurrence of each left side filed under them with ``str.find``,
 overlapping ones included, and sorts the hits by (position, production
 index).  On the first search the view also holds the search profile,
 computed once from the coded sides: the start form's minimal yield and, by
-production, the yield change ``min_yield(rhs) - min_yield(lhs)``; the
-nullable symbols they come from are not kept.  The minimal yield sums over
-a form's symbols, so a rewrite changes it by exactly that in all three
-accepted shapes: the change in length for monotone grammars (-1 for the
-start erasure), the change in non-nullable symbols for erasing
-context-free ones.  A search adds it to the parent's yield, kept in a list
-of the search's own, and tests the child against the bound before it looks
-the child up.  And it keeps the last ``_SEARCH_CACHE_SIZE`` (16) searches,
-keyed by ``(max_len, fuel)``, so that repeated queries on one grammar object
-share a search, the exact probabilities of :mod:`lcsg.stochastic` included;
-an equal grammar parsed again starts cold.  That one cache drops the least
+production, the yield change ``min_yield(rhs) - min_yield(lhs)``.  The
+minimal yield sums over a form's symbols, so a rewrite changes it by
+exactly that in all three accepted shapes: the change in length for
+monotone grammars (-1 for the start erasure), the change in non-nullable
+symbols for erasing context-free ones.  A search adds it to the parent's
+yield, kept in a list of the search's own, and tests the child against the
+bound before it looks the child up.  And it keeps the last
+``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
+repeated queries on one grammar object share a search, the exact
+probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
+again starts cold.  That one cache drops the least
 recently used search first, and each search keeps the last exact-probability
 sweep over it with the weights it read: one float per terminal string, so a
 repeated string probability is a look-up.  A sweep is dropped with its
@@ -62,12 +62,12 @@ Each form a search reaches gets an id, its place in breadth-first order,
 from one map keyed by coded forms that lives only while the search runs: a
 ``str`` caches its hash, and no form but a terminal string is wrapped in a
 ``SymbolString``.  By id, the search keeps the coded form and the step that
-first reached it as a ``(parent id, production index, position)`` triple;
-it builds no :class:`DerivationStep`.  For each form it expands, it also
-records every rewrite in successor order, as the production index and the
-child's id, or ``None`` where the child leaves the bound.  When it ends it
-decodes its terminal strings, and only those, once, into one map from their
-symbol tuples to their ids in id order, and wraps each once:
+first reached it as a ``(parent id, production index, position)`` triple.
+For each form it expands, it also records every rewrite in successor order,
+as the production index and the child's id, or ``None`` where the child
+leaves the bound.  When it ends it decodes its terminal strings, and only
+those, once, into one map from their symbol tuples to their ids in id
+order, and wraps each once:
 ``derives_bounded`` looks its target up in the map, and
 ``enumerate_language`` and the sweep read the wrapped strings.  Exact
 probabilities read the record as one graph over ids, swept in one

@@ -39,7 +39,9 @@ read, so the first ``string_probability`` per grammar object, weights and
 length pays for the whole bounded language and later ones at that length
 are look-ups, as is one at the bound's length after ``exact_distribution``.
 ``_renormalized`` is the one home of renormalization, for the sampler's
-rewrites, ``normalize_weights``'s steps and the sweep's edges alike.
+rewrites, ``normalize_weights``'s steps and the sweep's edges alike, and
+``_draw`` the one home of the inverse-CDF draw, for the sampler's steps and
+``TokenDistribution.sample``'s tokens alike.
 """
 
 from __future__ import annotations
@@ -168,6 +170,21 @@ def normalize_weights(
     return distribution
 
 
+def _draw(entries: list | tuple, u: float) -> object:
+    """The item of the first ``(item, p)`` entry whose cumulative ``p`` exceeds ``u``.
+
+    The inverse-CDF rule of every seeded draw: the sampler's step here and
+    ``TokenDistribution.sample`` in :mod:`lcsg.autoregressive`.  When
+    rounding leaves the total at or below ``u``, the last item is drawn.
+    """
+    cumulative = 0.0
+    for item, p in entries:
+        cumulative += p
+        if u < cumulative:
+            return item
+    return entries[-1][0]
+
+
 def sample_derivation(
     wg: WeightedGrammar, seed: int, max_steps: int = 1000
 ) -> SampledDerivation:
@@ -189,15 +206,7 @@ def sample_derivation(
         distribution = _renormalized(rewrites, [weights[r[1]] for r in rewrites])
         if not distribution:
             _refuse(SymbolString._of(view.decode(form)), rewrites)  # a walk holds no stranger
-        u = rng.random()
-        cumulative = 0.0
-        chosen = distribution[-1][0]
-        for rewrite, p in distribution:
-            cumulative += p
-            if u < cumulative:
-                chosen = rewrite
-                break
-        position, index, form = chosen
+        position, index, form = _draw(distribution, rng.random())
         steps.append((len(steps) - 1, index, position))
     final = SymbolString._of(view.decode(form))
     trace = DerivationTrace._of(g, _chain(view.sides, steps, len(steps) - 1, final))

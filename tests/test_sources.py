@@ -3,7 +3,8 @@
 ``ast.parse`` with ``feature_version`` refuses syntax newer than that
 version, such as ``except*``, on any interpreter this suite runs on.  And
 the test oracles stay independent of the library they check: they import
-no private library name outside a short allowlist.
+no private library name outside a short allowlist.  And each library module
+imports only from its own layer or a lower one.
 """
 
 from __future__ import annotations
@@ -45,3 +46,41 @@ def test_the_oracles_import_no_other_private_library_name():
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lcsg":
                 private = {alias.name for alias in node.names if alias.name.startswith("_")}
                 assert private <= ORACLE_PRIVATE_IMPORTS, (path.name, private)
+
+
+# The layers that ``lcsg/__init__.py`` states, lowest first.  The package
+# module re-exports every layer but the CLI, so it stands above them all.
+LAYERS = (
+    ("symbols", "grammar", "grammar_io", "derivation", "stochastic"),
+    ("autoregressive", "predictors"),
+    ("bridge", "traces"),
+    ("cli",),
+    ("__init__",),
+)
+
+
+def imported_library_modules(tree: ast.AST, modules) -> list[str]:
+    """The ``modules`` a source imports from; ``__init__`` for the package itself."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # a relative import is from lcsg
+            base = ".".join(filter(None, ["lcsg" if node.level else "", node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in dotted):
+            if parts[0] == "lcsg":
+                imported.append(parts[1] if parts[1:2] and parts[1] in modules else "__init__")
+    return imported
+
+
+def test_each_library_module_imports_only_from_its_own_layer_or_below():
+    layer_of = {module: n for n, layer in enumerate(LAYERS) for module in layer}
+    sources = sorted((ROOT / "src" / "lcsg").glob("*.py"))
+    assert {path.stem for path in sources} == set(layer_of)
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for module in imported_library_modules(tree, layer_of):
+            assert layer_of[module] <= layer_of[path.stem], (path.name, module)
