@@ -50,8 +50,11 @@ bound before it looks the child up.  And it keeps the last
 ``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
 repeated queries on one grammar object share a search, the exact
 probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  That one cache drops the least
-recently used search first, and each search keeps the last exact-probability
+again starts cold.  A search at a bound the cache misses grows the longest
+completed search it keeps at a shorter bound that the start form fits,
+whatever that search's fuel, rather than start cold (below); growing from
+a search is no hit, so the base keeps its place.  That one cache drops the
+least recently used search first, and each search keeps the last exact-probability
 sweep over it with the weights it read: one float per terminal string, so a
 repeated string probability is a look-up.  A sweep is dropped with its
 search.  Nothing is kept from a call that raises: a search that runs out of
@@ -80,9 +83,29 @@ every call wraps the kept steps in a new :class:`DerivationTrace` without
 checking the chain again, since it is chained by construction.  The store
 keeps steps, not traces, so it refers to no grammar; it holds at most one
 entry per terminal string the search kept and is dropped with its search.
-The record keeps nothing else that the library does not read.  A search
-expands at most ``fuel`` forms, so a completed search keeps at most ``fuel``
-forms, each with its triple; one that runs out of fuel also keeps the forms
+The record keeps nothing else that the library does not read.
+
+A search grown from a shorter one runs the same breadth-first loop at its
+own bound, with the same fuel checks, so it expands the same forms in the
+same order, stops where a cold search stops and keeps the cold record.  No
+rewrite into a non-terminal form lowers the minimal yield, and the start
+erasure, the one that does, rewrites a start form that the base fits.  So
+the base's forms are the grown search's forms of yield within the base's
+bound, each has only base forms as ancestors, the grown search reaches
+them in the same relative order by the same first-found steps, and no form
+beyond the base rewrites into one.  A base form none of whose recorded
+rewrites left the base's bound is not rewritten again: each child is the
+base child's id here, and on first sight the child takes the base's coded
+string and the base's production index and position.  A form on the
+base's frontier, some rewrite of which left the base's bound, is rewritten
+again, once, if such a child fits the new bound, and only those children
+go through the id map, which so holds only the forms beyond the base.
+These are searched as in a cold search.  The grown record shares only
+strings with its base; the base's sweep and trace store are keyed by its
+own ids and are not carried over, and evicting the base frees it.
+
+A search expands at most ``fuel`` forms, so a completed search keeps at most
+``fuel`` forms, each with its triple; one that runs out of fuel also keeps the forms
 it reached but did not expand, up to ``fuel`` times the largest number of
 rewrites of one form, plus one.  Either way it records at most ``fuel``
 times that number of rewrites, each a pair of an index and an id.
@@ -98,8 +121,9 @@ from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
 # Searches kept per grammar: room for one query length after another up to
-# 15, while a grammar's search records stay bounded (the module docstring gives
-# the bound on the forms and rewrites that one search keeps).
+# 15, each grown from the longest shorter one kept, while a grammar's search
+# records stay bounded (the module docstring gives the bound on the forms and
+# rewrites that one search keeps, and when a search grows).
 _SEARCH_CACHE_SIZE = 16
 
 
@@ -352,20 +376,40 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     Membership, enumeration and exact probabilities all read this one search.
     A negative ``max_len`` or ``fuel`` raises ``ValueError`` when the search
     would run, so a cached query checks nothing.  A hit moves to the end, so
-    a full cache drops its first, least recently used search.
+    a full cache drops its first, least recently used search.  A miss grows
+    the longest completed search kept at a shorter bound ``m`` with ``m`` at
+    least the start form's minimal yield, whatever its fuel, since a
+    completed record does not depend on fuel.  The grown search recomputes
+    only the forms beyond ``m`` and those on the base's frontier, and its
+    record is the cold one's (see the module docstring).  The base is not
+    hit: it keeps its place.
     """
     view = _compiled(g)
     key = (max_len, fuel)
     reach = view.searches.pop(key, None)
     if reach is None:
-        reach = _search(g, view, max_len, fuel)
+        base, shorter = None, -1
+        for (m, _), kept in view.searches.items():
+            if shorter < m < max_len and m >= view.start_yield and kept.completed:
+                base, shorter = kept, m
+        reach = _search(g, view, max_len, fuel, base)
         if len(view.searches) >= _SEARCH_CACHE_SIZE:
             del view.searches[next(iter(view.searches))]
     view.searches[key] = reach
     return reach
 
 
-def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Reachability:
+def _search(
+    g: Grammar,
+    view: _CompiledGrammar,
+    max_len: int,
+    fuel: int,
+    base: _Reachability | None = None,
+) -> _Reachability:
+    """The breadth-first search at ``max_len`` with ``fuel``; grown from
+    ``base``, a completed search of ``g`` at a shorter bound that the start
+    form fits, when one is given, else cold.  Either way the record is the
+    same."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if fuel < 0:
@@ -374,10 +418,20 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
         view.start_yield, view.yield_changes = _profile(view, g)
     yield_changes, nonterminals = view.yield_changes, view.nonterminals
     start = view.codes[g.start]
-    ids, coded, steps, rewrites = {start: 0}, [start], [None], []  # ids by coded form
+    coded, steps, rewrites = [start], [None], []
     reach = _Reachability(coded, steps, rewrites)
     strings: list[int] = []  # the ids of the terminal strings kept
     yields = [view.start_yield]  # by id; the record keeps no yield
+    if base is None:
+        ids = {start: 0}  # by coded form
+        origin: dict[int, int] = {}
+    else:
+        # The base's forms are this search's forms of yield within the base's
+        # bound: only the others go through the id map.  ``moved`` gives each
+        # base form its id here once seen, ``origin`` the reverse.
+        ids, origin = {}, {0: 0}
+        moved: list[int | None] = [0] + [None] * (len(base.coded) - 1)
+        base_coded, base_steps, base_rewrites = base.coded, base.steps, base.rewrites
     # The form to expand next is the one whose id is the number expanded so far.
     while len(rewrites) < len(coded):
         parent = len(rewrites)
@@ -385,22 +439,54 @@ def _search(g: Grammar, view: _CompiledGrammar, max_len: int, fuel: int) -> _Rea
             # The terminal strings reached but not expanded are kept too.
             strings += [i for i in range(parent, len(coded)) if nonterminals.isdisjoint(coded[i])]
             break
-        form, base = coded[parent], yields[parent]
+        form, parent_yield = coded[parent], yields[parent]
         out: list[tuple[int, int | None]] = []
-        for position, index, after in _rewrites(form, view):
-            child_yield = base + yield_changes[index]
-            if child_yield <= max_len:
-                child = ids.get(after)
-                if child is None:
-                    child = ids[after] = len(coded)
-                    coded.append(after)
-                    steps.append((parent, index, position))
-                    yields.append(child_yield)
-            else:
-                # Left the bound: every kept form but the start fits it, and
-                # a start above it is reached again only by its own rewrite.
-                child = ids.get(after) if base > max_len else None
-            out.append((index, child))
+        b = origin.get(parent)
+        if b is not None:
+            # A base form: replay its recorded rewrites.  Where one left the
+            # base's bound the record keeps no form, so the parent is
+            # rewritten again, once, and that child looked up by its form.
+            rewritten = None
+            for index, c in base_rewrites[b]:
+                if c is not None:
+                    child = moved[c]
+                    if child is None:
+                        # First seen here, as in the base, whose step for it
+                        # was this rewrite of this parent.
+                        child = moved[c] = len(coded)
+                        origin[child] = c
+                        coded.append(base_coded[c])
+                        steps.append((parent, index, base_steps[c][2]))
+                        yields.append(parent_yield + yield_changes[index])
+                elif (child_yield := parent_yield + yield_changes[index]) <= max_len:
+                    if rewritten is None:
+                        rewritten = _rewrites(form, view)
+                    position, _, after = rewritten[len(out)]
+                    child = ids.get(after)
+                    if child is None:
+                        child = ids[after] = len(coded)
+                        coded.append(after)
+                        steps.append((parent, index, position))
+                        yields.append(child_yield)
+                else:
+                    child = None
+                out.append((index, child))
+        else:
+            for position, index, after in _rewrites(form, view):
+                child_yield = parent_yield + yield_changes[index]
+                if child_yield <= max_len:
+                    child = ids.get(after)
+                    if child is None:
+                        child = ids[after] = len(coded)
+                        coded.append(after)
+                        steps.append((parent, index, position))
+                        yields.append(child_yield)
+                else:
+                    # Left the bound: every kept form but the start fits it,
+                    # and a start above it is reached again only by its own
+                    # rewrite.
+                    child = ids.get(after) if parent_yield > max_len else None
+                out.append((index, child))
         if not out and nonterminals.isdisjoint(form):
             strings.append(parent)
         rewrites.append(tuple(out))

@@ -2,7 +2,8 @@
 search and the sampler wrap, the steps a search and its queries build, the
 yields a search computes, the forms a search never hashes or tests for
 terminals, its one search cache with the sweep and the trace store each
-search keeps, and pickling.
+search keeps, the forms a search grown from a shorter one rewrites again
+and the strings it shares with it, and pickling.
 
 A grammar compiles itself on first use and keeps the result, with at most
 ``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 import lcsg.predictors
 import lcsg.stochastic
-from conftest import load_grammar, random_left_cs_grammar
+from conftest import DATA, load_grammar, random_left_cs_grammar
 from derivation_oracle import record_forms
 from lcsg import (
     FuelExhaustedError,
@@ -448,6 +449,106 @@ def test_nine_lengths_stay_cached_together():
     first = {n: _bounded_reachability(g, n, DEFAULT_FUEL) for n in range(1, 10)}
     for n in range(1, 10):
         assert _bounded_reachability(g, n, DEFAULT_FUEL) is first[n]
+
+
+def test_a_grown_search_rewrites_only_forms_beyond_its_base_or_on_its_frontier(monkeypatch):
+    g = load_grammar("abc.grammar")
+    base = _bounded_reachability(g, 18, DEFAULT_FUEL)
+    rewritten: list[str] = []
+    rewrites = lcsg.derivation._rewrites
+
+    def counted(form, view):
+        rewritten.append(form)
+        return rewrites(form, view)
+
+    monkeypatch.setattr(lcsg.derivation, "_rewrites", counted)
+    grown = _bounded_reachability(g, 21, DEFAULT_FUEL)
+    assert grown.completed and len(grown.coded) == 3170
+    kept = {form: form for form in base.coded}  # by value, the base's own objects
+    beyond = [form not in kept for form in grown.coded]
+    assert beyond.count(False) == len(base.coded) == 983
+
+    def goes_beyond(out) -> bool:
+        return any(child is not None and beyond[child] for _, child in out)
+
+    # Once each, in breadth-first order: every form beyond 18, and every form
+    # on the 18-search's frontier that has a child kept beyond 18.  The other
+    # base forms replay their records.
+    frontier = [
+        form for i, (form, out) in enumerate(zip(grown.coded, grown.rewrites))
+        if not beyond[i] and goes_beyond(out)
+    ]
+    assert 0 < len(frontier) < len(base.coded)
+    assert set(frontier) <= {
+        form for form, out in zip(base.coded, base.rewrites) if any(c is None for _, c in out)
+    }
+    assert rewritten == [
+        form for i, (form, out) in enumerate(zip(grown.coded, grown.rewrites))
+        if beyond[i] or goes_beyond(out)
+    ]
+    assert len(rewritten) == beyond.count(True) + len(frontier)
+    # Each base form is the base's very string.
+    assert all(form is kept[form] for form in grown.coded if form in kept)
+
+
+def test_evicting_the_base_frees_it_and_leaves_the_grown_answers():
+    # By reference counting alone: the grown search refers to nothing of it.
+    gc.disable()
+    try:
+        g = load_grammar("abc.grammar")
+        base = weakref.ref(_bounded_reachability(g, 18, DEFAULT_FUEL))
+        grown = _bounded_reachability(g, 21, DEFAULT_FUEL)
+        for other in range(_SEARCH_CACHE_SIZE - 1):  # evicts the search at 18, used least recently
+            enumerate_language(g, 2, fuel=1000 + other)
+        searches = _compiled(g).searches
+        assert (18, DEFAULT_FUEL) not in searches and searches[(21, DEFAULT_FUEL)] is grown
+        assert base() is None
+        fresh = load_grammar("abc.grammar")
+        for a, b, c in [(7, 7, 7), (6, 6, 6), (7, 8, 6)]:
+            names = ["a"] * a + ["b"] * b + ["c"] * c
+            trace = derives_bounded(g, g.string_of(names))
+            assert trace == derives_bounded(fresh, fresh.string_of(names))
+        assert enumerate_language(g, 21) == enumerate_language(fresh, 21)
+        assert _compiled(g).searches[(21, DEFAULT_FUEL)] is grown
+    finally:
+        gc.enable()
+
+
+_GROWN_DIGEST = """
+import hashlib, pathlib, sys
+from lcsg import parse_grammar
+from lcsg.derivation import DEFAULT_FUEL, _bounded_reachability
+for spec in sys.argv[1:]:
+    path, bounds = spec.rsplit(":", 1)
+    g = parse_grammar(pathlib.Path(path).read_text())
+    for n in map(int, bounds.split(",")):
+        reach = _bounded_reachability(g, n, DEFAULT_FUEL)
+    found = [([(s.name, s.is_terminal) for s in w], i) for w, i in reach.found.items()]
+    record = (reach.coded, reach.steps, reach.rewrites, found, reach.completed)
+    print(hashlib.sha256(repr(record).encode()).hexdigest())
+"""
+
+
+def test_grown_searches_are_the_cold_ones_under_every_hash_seed():
+    # Frontier forms are rewritten again, and the rewrite loop walks a
+    # frozenset intersection of codes in string-hash order.
+    abc, crossserial = (str(DATA / name) for name in ("abc.grammar", "crossserial.grammar"))
+
+    def digests(seed: str, *specs: str) -> list[str]:
+        child = subprocess.run(
+            [sys.executable, "-c", _GROWN_DIGEST, *specs],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout.split()
+
+    cold = digests("0", f"{abc}:9", f"{crossserial}:8")
+    assert len(cold) == 2
+    for seed in ("0", "1", "12345"):
+        assert digests(seed, f"{abc}:6,9", f"{crossserial}:6,8") == cold, seed
 
 
 def test_enumeration_and_exact_probabilities_share_one_search():

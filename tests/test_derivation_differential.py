@@ -27,6 +27,14 @@ symbol's code is past 300); overlapping occurrences of a left side; left
 sides filed under one nonterminal that match at one position; names with
 regex metacharacters and non-ASCII letters; symbols used in productions
 but not declared; and the start erasure and erasing context-free grammars.
+
+A search at a bound the cache misses grows the longest completed search
+kept at a shorter bound that the start form fits.  Queried at bounds 0 to 8
+in a drawn order on one grammar object, each with a fuel drawn from values
+that run out before, during and after the forms of the shorter search,
+every record must equal a cold search's on a fresh parse, form for form,
+step for step and rewrite for rewrite, with the same terminal strings in
+the same order, or raise the same exception.
 """
 
 from __future__ import annotations
@@ -34,9 +42,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import derivation_oracle as oracle
+import lcsg.derivation
 from conftest import load_grammar
 from lcsg import (
     Grammar,
@@ -520,3 +529,125 @@ def test_start_erasure_beside_monotone_rules_matches_the_oracle(
 def test_any_searches_match_the_oracle(productions, max_len, pad, targets):
     # Mostly refused shapes: both sides must raise the same error.
     assert_same_answers(grammar(productions, pad), max_len, targets)
+
+
+# --- a search grown from a shorter one against a cold one ---
+
+# Fuels that run out before, during and after a grown search's base part.
+grow_fuel_st = st.sampled_from((1, 5, 40, 150, 400))
+growing_st = st.one_of(
+    searchable(monotone_st, erasing=False),
+    searchable(context_free_st, erasing=True),
+    searchable(s_free_monotone_st, erasing=False, start_on_rhs=False).map(
+        lambda ps: [(["S"], [])] + ps
+    ),
+    searchable(production_st, erasing=True),  # mostly refused shapes
+)
+
+
+def record(reach) -> tuple:
+    """Everything a search records but its sweep and trace store."""
+    return (
+        reach.coded,
+        reach.steps,
+        reach.rewrites,
+        list(reach.found.items()),
+        reach.words,
+        reach.completed,
+    )
+
+
+def cold_record(g: Grammar, max_len: int, fuel: int) -> tuple:
+    return record(lcsg.derivation._search(g, _compiled(g), max_len, fuel))
+
+
+def grows(g: Grammar, max_len: int) -> bool:
+    """Whether a search at ``max_len`` would grow from one kept on ``g``."""
+    view = _compiled(g)
+    return any(
+        view.start_yield <= m < max_len and reach.completed
+        for (m, _), reach in view.searches.items()
+    )
+
+
+@small
+@given(
+    productions=growing_st,
+    pad=pad_st,
+    bounds=st.permutations(range(9)),
+    fuels=st.lists(grow_fuel_st, min_size=9, max_size=9),
+)
+def test_grown_searches_equal_cold_ones(productions, pad, bounds, fuels):
+    g = grammar(productions, pad)  # one object for every query below
+    grown = 0
+    for max_len, fuel in zip(bounds, fuels):
+        grown += grows(g, max_len)
+        got = outcome(lambda: record(_bounded_reachability(g, max_len, fuel)))
+        assert got == outcome(cold_record, grammar(productions, pad), max_len, fuel), max_len
+    event(f"grown searches: {grown}")
+
+
+def spy_on_bases(monkeypatch) -> list:
+    """Patch ``_search``; return the list of the bases it is given."""
+    bases: list = []
+    search = lcsg.derivation._search
+
+    def spied(g, view, max_len, fuel, base=None):
+        bases.append(base)
+        return search(g, view, max_len, fuel, base)
+
+    monkeypatch.setattr(lcsg.derivation, "_search", spied)
+    return bases
+
+
+@pytest.mark.parametrize(
+    "name, shorter, longer, fuels",
+    [
+        # abc at 18 expands 983 forms, at 21 3170; crossserial 14 and 16 as
+        # the membership benchmark asks them.
+        ("abc.grammar", 18, 21, [500, 2000, DEFAULT_FUEL]),
+        ("crossserial.grammar", 14, 16, [100, 1000, DEFAULT_FUEL]),
+    ],
+)
+def test_a_longer_bound_grows_the_longest_completed_shorter_search(
+    name, shorter, longer, fuels, monkeypatch
+):
+    bases = spy_on_bases(monkeypatch)
+    for fuel in fuels:
+        g = load_grammar(name)
+        below = _bounded_reachability(g, shorter - 4, DEFAULT_FUEL)
+        _bounded_reachability(g, shorter, 60)  # runs out of fuel: never a base
+        base = _bounded_reachability(g, shorter, 5000)  # completes, at another fuel
+        _bounded_reachability(g, shorter - 2, DEFAULT_FUEL)  # shorter, and kept later
+        got = record(_bounded_reachability(g, longer, fuel))
+        expected = [None, below, below, below, base]
+        assert [a is b for a, b in zip(bases[-5:], expected)] == [True] * 5
+        assert got == cold_record(load_grammar(name), longer, fuel), fuel
+        # Using a base is no cache hit: the base keeps its place.
+        assert list(_compiled(g).searches)[2:] == [
+            (shorter, 5000), (shorter - 2, DEFAULT_FUEL), (longer, fuel),
+        ]
+
+
+@pytest.mark.parametrize(
+    "productions",
+    [
+        [(["S"], ["a", "A"]), (["a", "A"], ["a", "b", "A"]), (["A"], ["b"])],
+        [(["S"], ["A", "a"]), (["A"], []), (["A"], ["b", "A"])],
+    ],
+    ids=["monotone", "erasing context-free"],
+)
+def test_a_shorter_bound_below_the_start_form_searches_cold(productions, monkeypatch):
+    # The start form's minimal yield is 1, so a search at 0 keeps the start
+    # above its bound: a longer search does not grow from it.
+    bases = spy_on_bases(monkeypatch)
+    g = grammar(productions)
+    _bounded_reachability(g, 0, DEFAULT_FUEL)
+    assert _compiled(g).start_yield == 1
+    four = _bounded_reachability(g, 4, DEFAULT_FUEL)
+    assert bases == [None, None]
+    assert record(four) == cold_record(grammar(productions), 4, DEFAULT_FUEL)
+    # A longer bound still grows from the search at 4.
+    got = record(_bounded_reachability(g, 6, DEFAULT_FUEL))
+    assert bases[-1] is four
+    assert got == cold_record(grammar(productions), 6, DEFAULT_FUEL)
