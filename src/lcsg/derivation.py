@@ -46,20 +46,25 @@ exactly that in all three accepted shapes: the change in length for
 monotone grammars (-1 for the start erasure), the change in non-nullable
 symbols for erasing context-free ones.  A search adds it to the parent's
 yield, kept in a list of the search's own, and tests the child against the
-bound before it looks the child up.  And it keeps the last
-``_SEARCH_CACHE_SIZE`` (16) searches, keyed by ``(max_len, fuel)``, so that
-repeated queries on one grammar object share a search, the exact
+bound before it looks the child up.  And it keeps one search for each of
+the last ``_SEARCH_CACHE_SIZE`` (16) bounds, keyed by ``max_len`` alone, so
+that repeated queries on one grammar object share a search, the exact
 probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  A search at a bound the cache misses grows the longest
-completed search it keeps at a shorter bound that the start form fits,
-whatever that search's fuel, rather than start cold (below); growing from
-a search is no hit, so the base keeps its place.  That one cache drops the
-least recently used search first, and each search keeps the last exact-probability
+again starts cold.  Fuel decides only whether the kept search answers a
+query: it does when a search at that fuel would expand the same forms, so a
+completed search of E expansions answers every fuel of at least E, and one
+that ran out answers only its own fuel.  Any other query searches again,
+and the new search takes the bound's place.  That search grows the longest
+completed search kept at a shorter bound that the start form fits, whatever
+that search's fuel, rather than start cold (below); growing from a search
+is no hit, so the base keeps its place.  That one cache drops the least
+recently used search first, and each search keeps the last exact-probability
 sweep over it with the weights it read: one float per terminal string, so a
 repeated string probability is a look-up.  A sweep is dropped with its
 search.  Nothing is kept from a call that raises: a search that runs out of
-fuel returns and is kept, but a sweep over it raises and is not.  The view
-is freed with its grammar and is never pickled.
+fuel returns and is kept, but a sweep over it raises and is not, and a
+query that raises before its search returns leaves the kept search at its
+bound in place.  The view is freed with its grammar and is never pickled.
 
 Each form a search reaches gets an id, its place in breadth-first order,
 from one map keyed by coded forms that lives only while the search runs: a
@@ -120,10 +125,11 @@ from .grammar import Grammar, Production, validate_grammar
 from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
-# Searches kept per grammar: room for one query length after another up to
-# 15, each grown from the longest shorter one kept, while a grammar's search
-# records stay bounded (the module docstring gives the bound on the forms and
-# rewrites that one search keeps, and when a search grows).
+# Bounds kept per grammar, one search each: room for one query length after
+# another up to 15, each grown from the longest shorter one kept, while a
+# grammar's search records stay bounded (the module docstring gives the
+# bound on the forms and rewrites that one search keeps, and when a search
+# grows).
 _SEARCH_CACHE_SIZE = 16
 
 
@@ -197,8 +203,6 @@ def apply_step(w: SymbolString, p: Production, position: int) -> SymbolString:
     if w[position:position + len(p.lhs)] != p.lhs:
         raise NoMatchError(f"{p.lhs} does not occur at position {position} in {w}")
     return w[:position] + p.rhs + w[position + len(p.lhs):]
-
-
 
 
 def _rewrites(form: str, view: _CompiledGrammar) -> list[tuple[int, int, str]]:
@@ -313,9 +317,10 @@ class _CompiledGrammar:
     ``yield_changes``, by production index, each ``min_yield(rhs) -
     min_yield(lhs)``, the exact change a rewrite by that production makes to
     its form's minimal yield.  ``searches``, the one
-    cache, keeps the last ``_SEARCH_CACHE_SIZE`` bounded searches, keyed by
-    ``(max_len, fuel)`` and least recently used first; each holds the last
-    sweep of :mod:`lcsg.stochastic` over it and its trace store.
+    cache, keeps one bounded search for each of the last
+    ``_SEARCH_CACHE_SIZE`` bounds, keyed by ``max_len`` and least recently
+    used first; each holds the last sweep of :mod:`lcsg.stochastic` over it
+    and its trace store.
     """
 
     def __init__(self, g: Grammar) -> None:
@@ -347,7 +352,7 @@ class _CompiledGrammar:
         self.filed = frozenset(self.table)
         self.start_yield: int | None = None
         self.yield_changes: list[int] = []
-        self.searches: dict[tuple[int, int], _Reachability] = {}
+        self.searches: dict[int, _Reachability] = {}
 
     def encode(self, symbols: tuple[Symbol, ...]) -> str:
         """The coded form of ``symbols``; a symbol outside the grammar gets ``stranger``."""
@@ -374,28 +379,39 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     """The search over forms whose minimal yield fits ``max_len``, cached on ``g``.
 
     Membership, enumeration and exact probabilities all read this one search.
-    A negative ``max_len`` or ``fuel`` raises ``ValueError`` when the search
-    would run, so a cached query checks nothing.  A hit moves to the end, so
-    a full cache drops its first, least recently used search.  A miss grows
-    the longest completed search kept at a shorter bound ``m`` with ``m`` at
-    least the start form's minimal yield, whatever its fuel, since a
-    completed record does not depend on fuel.  The grown search recomputes
-    only the forms beyond ``m`` and those on the base's frontier, and its
-    record is the cold one's (see the module docstring).  The base is not
-    hit: it keeps its place.
+    One search is kept per bound, and it answers ``fuel`` exactly when a
+    search at ``fuel`` would expand the same forms: a completed search that
+    expanded E forms answers every fuel of at least E, and one that ran out
+    of fuel, having expanded exactly its fuel, answers only that fuel.  A
+    negative ``max_len`` or ``fuel`` raises ``ValueError`` when the search
+    would run, so a cached query checks nothing, and no kept search answers
+    a negative fuel.  A hit moves to the end, so a full cache drops its
+    first, least recently used search.  Any other query searches again, and
+    the new search takes its bound's place once it returns: a call that
+    raises leaves the cache as it was.  That search grows the longest
+    completed search kept at a shorter bound ``m`` with ``m`` at least the
+    start form's minimal yield, whatever its fuel, since a completed record
+    does not depend on fuel.  The grown search recomputes only the forms
+    beyond ``m`` and those on the base's frontier, and its record is the
+    cold one's (see the module docstring).  The base is not hit: it keeps
+    its place.
     """
     view = _compiled(g)
-    key = (max_len, fuel)
-    reach = view.searches.pop(key, None)
-    if reach is None:
+    searches = view.searches
+    reach = searches.get(max_len)
+    if reach is not None and (
+        reach.completed and fuel >= len(reach.rewrites) or fuel == len(reach.rewrites)
+    ):
+        del searches[max_len]
+    else:
         base, shorter = None, -1
-        for (m, _), kept in view.searches.items():
+        for m, kept in searches.items():
             if shorter < m < max_len and m >= view.start_yield and kept.completed:
                 base, shorter = kept, m
         reach = _search(g, view, max_len, fuel, base)
-        if len(view.searches) >= _SEARCH_CACHE_SIZE:
-            del view.searches[next(iter(view.searches))]
-    view.searches[key] = reach
+        if searches.pop(max_len, None) is None and len(searches) >= _SEARCH_CACHE_SIZE:
+            del searches[next(iter(searches))]
+    searches[max_len] = reach
     return reach
 
 

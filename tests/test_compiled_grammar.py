@@ -2,12 +2,15 @@
 search and the sampler wrap, the steps a search and its queries build, the
 yields a search computes, the forms a search never hashes or tests for
 terminals, its one search cache with the sweep and the trace store each
-search keeps, the forms a search grown from a shorter one rewrites again
-and the strings it shares with it, and pickling.
+search keeps, the fuels a kept search answers, the forms a search grown
+from a shorter one rewrites again and the strings it shares with it, and
+pickling.
 
-A grammar compiles itself on first use and keeps the result, with at most
-``_SEARCH_CACHE_SIZE`` searches, each with the last exact-probability sweep
-over it and the traces queried of it, until the grammar itself is freed.
+A grammar compiles itself on first use and keeps the result, with one
+search for each of at most ``_SEARCH_CACHE_SIZE`` bounds, keyed by the
+bound alone, each with the last exact-probability sweep over it and the
+traces queried of it, until the grammar itself is freed.  A kept search
+answers every fuel at which a search would expand the same forms.
 The cache never travels in a pickle: str hashes differ between processes,
 and a search record can hold ``DEFAULT_FUEL`` forms and more.
 """
@@ -55,6 +58,7 @@ from lcsg.derivation import (
     _bounded_reachability,
     _compiled,
     _CompiledGrammar,
+    _search,
 )
 
 
@@ -102,7 +106,7 @@ def test_the_cache_keeps_at_most_its_bound():
         enumerate_language(g, max_len)
     searches = _compiled(g).searches
     assert len(searches) == _SEARCH_CACHE_SIZE
-    assert sorted(searches) == [(n, DEFAULT_FUEL) for n in range(5, _SEARCH_CACHE_SIZE + 5)]
+    assert sorted(searches) == list(range(5, _SEARCH_CACHE_SIZE + 5))
 
 
 THREE_WORDS = "start: S\nterminals: a b c\nnonterminals: S\nS -> a\nS -> b\nS -> c\n"
@@ -256,9 +260,10 @@ def test_the_trace_store_is_dropped_with_its_search():
     step = weakref.ref(trace.steps[0])
     del trace
     assert step() is not None  # the store keeps it
-    for other in range(_SEARCH_CACHE_SIZE + 1):  # evicts the search at (6, DEFAULT_FUEL)
-        enumerate_language(g, 2, fuel=1000 + other)
-    assert (6, DEFAULT_FUEL) not in _compiled(g).searches
+    for other in range(_SEARCH_CACHE_SIZE + 1):  # 16 other bounds evict the search at 6
+        if other != 6:
+            enumerate_language(g, other)
+    assert 6 not in _compiled(g).searches
     assert step() is None
 
 
@@ -362,12 +367,12 @@ def test_the_sweeps_keep_at_most_their_bound_least_recently_used_first():
     for n in range(1, size + 1):
         string_probability(wg, wg.grammar.string_of(["a"] * n))
     string_probability(wg, wg.grammar.string_of(["a"]))  # a hit: length 1 is most recent
-    evicted = weakref.ref(_compiled(wg.grammar).searches[(2, DEFAULT_FUEL)])
+    evicted = weakref.ref(_compiled(wg.grammar).searches[2])
     for n in range(size + 1, size + 4):
         string_probability(wg, wg.grammar.string_of(["a"] * n))
     kept = [*range(5, size + 1), 1, *range(size + 1, size + 4)]
     searches = _compiled(wg.grammar).searches
-    assert list(searches) == [(n, DEFAULT_FUEL) for n in kept]
+    assert list(searches) == kept
     assert len(kept) == size
     # Each kept search holds its own sweep; an evicted one took its sweep with it.
     assert all(reach.sweep[0] == wg.weights for reach in searches.values())
@@ -451,6 +456,84 @@ def test_nine_lengths_stay_cached_together():
         assert _bounded_reachability(g, n, DEFAULT_FUEL) is first[n]
 
 
+def count_searches(monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``derivation._search``; return the list of the (bound, fuel) of each search."""
+    searched: list[tuple[int, int]] = []
+    search = lcsg.derivation._search
+
+    def counted(g, view, max_len, fuel, base=None):
+        searched.append((max_len, fuel))
+        return search(g, view, max_len, fuel, base)
+
+    monkeypatch.setattr(lcsg.derivation, "_search", counted)
+    return searched
+
+
+def cold_fields(name: str, max_len: int, fuel: int) -> tuple:
+    """What a cold search of a fresh parse of ``name`` records; not counted."""
+    g = load_grammar(name)
+    return fields(_search(g, _compiled(g), max_len, fuel))
+
+
+def fields(reach) -> tuple:
+    return reach.coded, reach.steps, reach.rewrites, reach.found, reach.completed
+
+
+def test_one_bound_keeps_one_search_whatever_the_fuel(monkeypatch):
+    g = load_grammar("abc.grammar")
+    searched = count_searches(monkeypatch)
+    for other in range(_SEARCH_CACHE_SIZE + 1):
+        enumerate_language(g, 2, fuel=1000 + other)
+    assert searched == [(2, 1000)]
+    assert list(_compiled(g).searches) == [2]
+
+
+def test_a_completed_search_answers_every_fuel_that_covers_its_expansions(monkeypatch):
+    g = load_grammar("crossserial.grammar")
+    searched = count_searches(monkeypatch)
+    reach = _bounded_reachability(g, 6, DEFAULT_FUEL)
+    expanded = len(reach.rewrites)
+    assert reach.completed and expanded == len(reach.coded) > 1
+    for fuel in (expanded, expanded + 1, DEFAULT_FUEL):
+        assert _bounded_reachability(g, 6, fuel) is reach
+    assert enumerate_language(g, 6, fuel=expanded) == set(reach.words)
+    assert searched == [(6, DEFAULT_FUEL)]
+    # One fuel fewer runs out before the last expansion: searched again.
+    with pytest.raises(FuelExhaustedError):
+        enumerate_language(g, 6, fuel=expanded - 1)
+    assert searched[1:] == [(6, expanded - 1)]
+    (short,) = _compiled(g).searches.values()  # it took the bound's place
+    assert not short.completed
+    assert fields(short) == cold_fields("crossserial.grammar", 6, expanded - 1)
+
+
+def test_a_search_out_of_fuel_answers_only_its_own_fuel(monkeypatch):
+    g = load_grammar("crossserial.grammar")
+    searched = count_searches(monkeypatch)
+    reach = _bounded_reachability(g, 6, 10)
+    assert not reach.completed and len(reach.rewrites) == 10
+    assert _bounded_reachability(g, 6, 10) is reach
+    assert searched == [(6, 10)]
+    for fuel in (9, 11, DEFAULT_FUEL):
+        again = _bounded_reachability(g, 6, fuel)
+        assert again is not reach and searched[-1] == (6, fuel)
+        assert fields(again) == cold_fields("crossserial.grammar", 6, fuel)
+        assert list(_compiled(g).searches.values()) == [again]
+        reach = again
+    assert reach.completed and len(searched) == 4
+
+
+def test_a_query_that_raises_leaves_the_cache_as_it_was():
+    g = load_grammar("abc.grammar")
+    kept = {n: _bounded_reachability(g, n, DEFAULT_FUEL) for n in range(_SEARCH_CACHE_SIZE)}
+    for n in (6, _SEARCH_CACHE_SIZE):  # a kept bound, and one that would evict
+        with pytest.raises(ValueError, match="fuel must be >= 0"):
+            enumerate_language(g, n, fuel=-1)
+        searches = _compiled(g).searches
+        assert list(searches) == list(kept)
+        assert all(searches[n] is reach for n, reach in kept.items())
+
+
 def test_a_grown_search_rewrites_only_forms_beyond_its_base_or_on_its_frontier(monkeypatch):
     g = load_grammar("abc.grammar")
     base = _bounded_reachability(g, 18, DEFAULT_FUEL)
@@ -499,9 +582,9 @@ def test_evicting_the_base_frees_it_and_leaves_the_grown_answers():
         base = weakref.ref(_bounded_reachability(g, 18, DEFAULT_FUEL))
         grown = _bounded_reachability(g, 21, DEFAULT_FUEL)
         for other in range(_SEARCH_CACHE_SIZE - 1):  # evicts the search at 18, used least recently
-            enumerate_language(g, 2, fuel=1000 + other)
+            enumerate_language(g, other)
         searches = _compiled(g).searches
-        assert (18, DEFAULT_FUEL) not in searches and searches[(21, DEFAULT_FUEL)] is grown
+        assert 18 not in searches and searches[21] is grown
         assert base() is None
         fresh = load_grammar("abc.grammar")
         for a, b, c in [(7, 7, 7), (6, 6, 6), (7, 8, 6)]:
@@ -509,7 +592,7 @@ def test_evicting_the_base_frees_it_and_leaves_the_grown_answers():
             trace = derives_bounded(g, g.string_of(names))
             assert trace == derives_bounded(fresh, fresh.string_of(names))
         assert enumerate_language(g, 21) == enumerate_language(fresh, 21)
-        assert _compiled(g).searches[(21, DEFAULT_FUEL)] is grown
+        assert _compiled(g).searches[21] is grown
     finally:
         gc.enable()
 
@@ -552,7 +635,7 @@ def test_grown_searches_are_the_cold_ones_under_every_hash_seed():
 
 
 def test_enumeration_and_exact_probabilities_share_one_search():
-    key = (6, DEFAULT_FUEL)
+    key = 6
     g = load_grammar("abc.grammar")
     w = g.string_of("a a b b c c".split())
     assert w in enumerate_language(g, 6)
@@ -602,7 +685,7 @@ def test_the_grammar_predictor_lists_each_rule_once_from_the_one_view(monkeypatc
     view = _compiled(g)
     assert pred._view is view
     assert derives_bounded(g, g.string_of("a x b y".split())) is not None
-    assert _compiled(g) is view and list(view.searches) == [(4, DEFAULT_FUEL)]
+    assert _compiled(g) is view and list(view.searches) == [4]
     assert len(forms) == 4  # the search's calls go through derivation's own name
 
 
@@ -618,7 +701,7 @@ def test_the_cache_is_freed_with_its_grammar():
         assert derives_bounded(g, g.string_of("a b b c c c".split())) is None
         wg = WeightedGrammar.from_grammar(g)
         assert string_probability(wg, member) > 0.0
-        reach = _compiled(g).searches[(6, DEFAULT_FUEL)]
+        reach = _compiled(g).searches[6]
         assert reach.sweep is not None and reach.traces
         ref = weakref.ref(g)
         del g, wg, trace, reach
@@ -635,8 +718,8 @@ def test_a_searched_grammar_pickles_without_its_caches():
     w = g.string_of("a a b b c c".split())
     p = string_probability(wg, w)
     enumerate_language(g, 9)
-    assert len(_compiled(g).searches[(9, DEFAULT_FUEL)].coded) > 30
-    assert _compiled(g).searches[(6, DEFAULT_FUEL)].sweep[0] == wg.weights
+    assert len(_compiled(g).searches[9].coded) > 30
+    assert _compiled(g).searches[6].sweep[0] == wg.weights
     blob = pickle.dumps(g)
     assert len(blob) == len(blob_before)
     assert len(pickle.dumps(wg)) == len(wg_blob_before)

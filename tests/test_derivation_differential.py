@@ -34,7 +34,10 @@ in a drawn order on one grammar object, each with a fuel drawn from values
 that run out before, during and after the forms of the shorter search,
 every record must equal a cold search's on a fresh parse, form for form,
 step for step and rewrite for rewrite, with the same terminal strings in
-the same order, or raise the same exception.
+the same order, or raise the same exception.  The cache keeps one search
+per bound, which answers every fuel at which a search would expand the
+same forms; drawn repeat queries at those bounds, at fuels the kept
+search answers and at fuels it does not, must also give the cold record.
 """
 
 from __future__ import annotations
@@ -535,6 +538,12 @@ def test_any_searches_match_the_oracle(productions, max_len, pad, targets):
 
 # Fuels that run out before, during and after a grown search's base part.
 grow_fuel_st = st.sampled_from((1, 5, 40, 150, 400))
+# Repeat queries also take a fuel above all of those.  It stands in for
+# DEFAULT_FUEL, at which an erasing grammar whose forms grow without end
+# (``S -> S S`` with ``S -> _``) would expand a million ever longer forms.
+repeat_st = st.lists(
+    st.tuples(st.integers(0, 8), st.one_of(grow_fuel_st, st.just(600))), max_size=6
+)
 growing_st = st.one_of(
     searchable(monotone_st, erasing=False),
     searchable(context_free_st, erasing=True),
@@ -566,7 +575,7 @@ def grows(g: Grammar, max_len: int) -> bool:
     view = _compiled(g)
     return any(
         view.start_yield <= m < max_len and reach.completed
-        for (m, _), reach in view.searches.items()
+        for m, reach in view.searches.items()
     )
 
 
@@ -576,8 +585,9 @@ def grows(g: Grammar, max_len: int) -> bool:
     pad=pad_st,
     bounds=st.permutations(range(9)),
     fuels=st.lists(grow_fuel_st, min_size=9, max_size=9),
+    repeats=repeat_st,
 )
-def test_grown_searches_equal_cold_ones(productions, pad, bounds, fuels):
+def test_grown_searches_equal_cold_ones(productions, pad, bounds, fuels, repeats):
     g = grammar(productions, pad)  # one object for every query below
     grown = 0
     for max_len, fuel in zip(bounds, fuels):
@@ -585,6 +595,20 @@ def test_grown_searches_equal_cold_ones(productions, pad, bounds, fuels):
         got = outcome(lambda: record(_bounded_reachability(g, max_len, fuel)))
         assert got == outcome(cold_record, grammar(productions, pad), max_len, fuel), max_len
     event(f"grown searches: {grown}")
+    # Then bounds asked again: the search kept at a bound answers some fuels
+    # and is searched again at the others, and each answer is the cold one.
+    searched_at = dict(zip(bounds, fuels))  # the fuel of each bound's kept search
+    answered = 0
+    for max_len, fuel in repeats:
+        kept = _compiled(g).searches.get(max_len)
+        reach = outcome(_bounded_reachability, g, max_len, fuel)
+        got = reach if isinstance(reach, type) else record(reach)
+        assert got == outcome(cold_record, grammar(productions, pad), max_len, fuel), max_len
+        if reach is kept:
+            answered += fuel != searched_at[max_len]
+        elif not isinstance(reach, type):
+            searched_at[max_len] = fuel
+    event(f"repeat queries a kept search answered at another fuel: {answered}")
 
 
 def spy_on_bases(monkeypatch) -> list:
@@ -624,9 +648,7 @@ def test_a_longer_bound_grows_the_longest_completed_shorter_search(
         assert [a is b for a, b in zip(bases[-5:], expected)] == [True] * 5
         assert got == cold_record(load_grammar(name), longer, fuel), fuel
         # Using a base is no cache hit: the base keeps its place.
-        assert list(_compiled(g).searches)[2:] == [
-            (shorter, 5000), (shorter - 2, DEFAULT_FUEL), (longer, fuel),
-        ]
+        assert list(_compiled(g).searches)[1:] == [shorter, shorter - 2, longer]
 
 
 @pytest.mark.parametrize(
