@@ -46,25 +46,27 @@ exactly that in all three accepted shapes: the change in length for
 monotone grammars (-1 for the start erasure), the change in non-nullable
 symbols for erasing context-free ones.  A search adds it to the parent's
 yield, kept in a list of the search's own, and tests the child against the
-bound before it looks the child up.  And it keeps one search for each of
-the last ``_SEARCH_CACHE_SIZE`` (16) bounds, keyed by ``max_len`` alone, so
-that repeated queries on one grammar object share a search, the exact
-probabilities of :mod:`lcsg.stochastic` included; an equal grammar parsed
-again starts cold.  Fuel decides only whether the kept search answers a
-query: it does when a search at that fuel would expand the same forms, so a
-completed search of E expansions answers every fuel of at least E, and one
-that ran out answers only its own fuel.  Any other query searches again,
-and the new search takes the bound's place.  That search grows the longest
-completed search kept at a shorter bound that the start form fits, whatever
-that search's fuel, rather than start cold (below); growing from a search
-is no hit, so the base keeps its place.  That one cache drops the least
-recently used search first, and each search keeps the last exact-probability
-sweep over it with the weights it read: one float per terminal string, so a
-repeated string probability is a look-up.  A sweep is dropped with its
-search.  Nothing is kept from a call that raises: a search that runs out of
-fuel returns and is kept, but a sweep over it raises and is not, and a
-query that raises before its search returns leaves the kept search at its
-bound in place.  The view is freed with its grammar and is never pickled.
+bound before it looks the child up.
+
+The view also holds the one search cache, by this rule.  It keeps one
+completed search for each of the last ``_SEARCH_CACHE_SIZE`` (16) bounds,
+keyed by ``max_len`` alone, so that repeated queries on one grammar object
+share a search, the exact probabilities of :mod:`lcsg.stochastic` included;
+an equal grammar parsed again starts cold.  A completed search does not
+depend on fuel, so the one kept at a bound, having expanded E forms,
+answers every fuel of at least E; a hit moves it to the end.  Any other
+query searches, growing the longest search kept at a shorter bound that the
+start form fits rather than starting cold (below); growing from a search is
+no hit, so the base keeps its place.  Only a search that completes is kept,
+and only at a bound with none kept, so a kept search is never replaced,
+only evicted, least recently used first.  A search that runs out of fuel is
+returned to its caller, which raises ``FuelExhaustedError``, and the cache
+is left as it was, as it is by any query that raises.  Each kept search
+holds the last exact-probability sweep over it with the weights it read:
+one float per terminal string, so a repeated string probability is a
+look-up.  A sweep that raises is not kept, and a sweep and the trace store
+(below) are dropped with their search.  The view is freed with its grammar
+and is never pickled.
 
 Each form a search reaches gets an id, its place in breadth-first order,
 from one map keyed by coded forms that lives only while the search runs: a
@@ -109,9 +111,10 @@ These are searched as in a cold search.  The grown record shares only
 strings with its base; the base's sweep and trace store are keyed by its
 own ids and are not carried over, and evicting the base frees it.
 
-A search expands at most ``fuel`` forms, so a completed search keeps at most
-``fuel`` forms, each with its triple; one that runs out of fuel also keeps the forms
-it reached but did not expand, up to ``fuel`` times the largest number of
+A search expands at most ``fuel`` forms, so a completed search, the only
+kind the cache keeps, holds at most ``fuel`` forms, each with its triple.
+One that runs out of fuel, returned but never kept, also holds the forms it
+reached but did not expand, up to ``fuel`` times the largest number of
 rewrites of one form, plus one.  Either way it records at most ``fuel``
 times that number of rewrites, each a pair of an index and an id.
 """
@@ -125,11 +128,10 @@ from .grammar import Grammar, Production, validate_grammar
 from .symbols import Symbol, SymbolString
 
 DEFAULT_FUEL = 1_000_000
-# Bounds kept per grammar, one search each: room for one query length after
-# another up to 15, each grown from the longest shorter one kept, while a
-# grammar's search records stay bounded (the module docstring gives the
-# bound on the forms and rewrites that one search keeps, and when a search
-# grows).
+# Bounds kept per grammar, one completed search each: room for one query
+# length after another up to 15, each grown from the longest shorter one
+# kept, while a grammar's search records stay bounded.  The module docstring
+# states the cache rule and the bound on what one search keeps.
 _SEARCH_CACHE_SIZE = 16
 
 
@@ -180,7 +182,8 @@ class DerivationTrace:
         """Wrap a tuple of steps, skipping ``__post_init__``'s chain check.
 
         Only for steps chained by construction from ``grammar``'s start form,
-        as the search's and the sampler's are.
+        as the search's, the sampler's and those a derivation trace's parser
+        replays are.
         """
         t = object.__new__(cls)
         object.__setattr__(t, "grammar", grammar)
@@ -316,11 +319,9 @@ class _CompiledGrammar:
     first search computes it from ``_profile``; that search also fills
     ``yield_changes``, by production index, each ``min_yield(rhs) -
     min_yield(lhs)``, the exact change a rewrite by that production makes to
-    its form's minimal yield.  ``searches``, the one
-    cache, keeps one bounded search for each of the last
-    ``_SEARCH_CACHE_SIZE`` bounds, keyed by ``max_len`` and least recently
-    used first; each holds the last sweep of :mod:`lcsg.stochastic` over it
-    and its trace store.
+    its form's minimal yield.  ``searches``, the one cache, keeps completed
+    searches by ``max_len``, least recently used first, by the rule the
+    module docstring states.
     """
 
     def __init__(self, g: Grammar) -> None:
@@ -379,37 +380,26 @@ def _bounded_reachability(g: Grammar, max_len: int, fuel: int) -> _Reachability:
     """The search over forms whose minimal yield fits ``max_len``, cached on ``g``.
 
     Membership, enumeration and exact probabilities all read this one search.
-    One search is kept per bound, and it answers ``fuel`` exactly when a
-    search at ``fuel`` would expand the same forms: a completed search that
-    expanded E forms answers every fuel of at least E, and one that ran out
-    of fuel, having expanded exactly its fuel, answers only that fuel.  A
-    negative ``max_len`` or ``fuel`` raises ``ValueError`` when the search
-    would run, so a cached query checks nothing, and no kept search answers
-    a negative fuel.  A hit moves to the end, so a full cache drops its
-    first, least recently used search.  Any other query searches again, and
-    the new search takes its bound's place once it returns: a call that
-    raises leaves the cache as it was.  That search grows the longest
-    completed search kept at a shorter bound ``m`` with ``m`` at least the
-    start form's minimal yield, whatever its fuel, since a completed record
-    does not depend on fuel.  The grown search recomputes only the forms
-    beyond ``m`` and those on the base's frontier, and its record is the
-    cold one's (see the module docstring).  The base is not hit: it keeps
-    its place.
+    What is kept, what answers a fuel and what a miss grows from is the
+    cache rule of the module docstring; a record out of fuel is returned,
+    never kept.  A negative ``max_len`` or ``fuel`` raises ``ValueError``
+    when the search would run, so a cached query checks nothing, and no
+    kept search answers a negative fuel.
     """
     view = _compiled(g)
     searches = view.searches
     reach = searches.get(max_len)
-    if reach is not None and (
-        reach.completed and fuel >= len(reach.rewrites) or fuel == len(reach.rewrites)
-    ):
+    if reach is not None and fuel >= len(reach.rewrites):
         del searches[max_len]
     else:
         base, shorter = None, -1
         for m, kept in searches.items():
-            if shorter < m < max_len and m >= view.start_yield and kept.completed:
+            if shorter < m < max_len and m >= view.start_yield:
                 base, shorter = kept, m
         reach = _search(g, view, max_len, fuel, base)
-        if searches.pop(max_len, None) is None and len(searches) >= _SEARCH_CACHE_SIZE:
+        if not reach.completed:
+            return reach
+        if len(searches) >= _SEARCH_CACHE_SIZE:
             del searches[next(iter(searches))]
     searches[max_len] = reach
     return reach

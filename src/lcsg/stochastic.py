@@ -32,8 +32,8 @@ cheap, and a graph without a cycle makes no LAPACK call.
 search and one sweep at its bound.  The sweep explores nothing itself: it
 reads its forms and the rewrites of each from the grammar's cached bounded
 search, the one that also serves ``derives_bounded`` and
-``enumerate_language``, so it shares that search's fuel and the cache of
-one search for each of the last 16 bounds per grammar object, and the
+``enumerate_language``, so it shares that search's fuel and the search
+cache whose rule the :mod:`lcsg.derivation` docstring states, and the
 search decides which rewrites leave the bound.  Each cached search keeps
 the last sweep over it with the weights it read, so the first
 ``string_probability`` per grammar object, weights and length pays for the
@@ -217,10 +217,11 @@ def sample_derivation(
 def _absorption(wg: WeightedGrammar, bound: int, fuel: int) -> dict[SymbolString, float]:
     """The absorbed mass of every terminal string of length at most ``bound``.
 
-    The grammar's one cached search at ``bound`` keeps the last sweep over
-    it, with the weights it read, for reuse at every fuel that search
-    answers, under equal weights only: two weightings never share a sweep.
-    Callers must not change the dict returned.  Mass in a component that
+    The grammar's cached search at ``bound`` keeps the last sweep over it,
+    with the weights it read, for reuse under equal weights only: two
+    weightings never share a sweep.  Which fuels that search answers is the
+    cache rule of the :mod:`lcsg.derivation` docstring.  Callers must not
+    change the dict returned.  Mass in a component that
     reaches no kept string, a cycle with no way out among them, is absorbed
     by no string, like mass that leaves the bound.  A sweep that raises is
     not kept, so it raises again on the next call.

@@ -9,6 +9,10 @@ Three kinds, each one line per step plus a header:
 * ``kind=derivation``: a grammar derivation.  The grammar itself is
   embedded as ``g ``-prefixed lines in the grammar file format; step
   lines carry production index, position, and the resulting form.
+  Parsing replays each step and compares the text of the form it gives
+  with the recorded one: the grammar is parsed from the trace, so no name
+  is in both of its alphabets or holds whitespace, and a form's text names
+  that one form.
 * ``kind=report``: an extraction report.  Dynamic nonterminals are
   rendered as ``A#<hash>`` ids with ``nt`` sidecar lines carrying their
   full state encodings; production lines show the rewrite and its form
@@ -313,26 +317,22 @@ def _parse_derivation(lines: list[str]) -> DerivationTrace:
         m = _DERIV_STEP_RE.match(line)
         if not m:
             raise TraceParseError(f"unrecognized line {line!r}", n)
-        step, prod, pos, after_raw = m.groups()
+        step, prod, pos, recorded = m.groups()
         _check_step(step, len(steps), n)
-        try:
-            after = SymbolString(()) if after_raw == "_" else grammar.string_of(after_raw.split())
-        except KeyError as e:
-            raise TraceParseError(e.args[0], n) from None
         index = int(prod)
         if not 0 <= index < len(grammar.productions):
             raise TraceParseError(f"production index {index} out of range", n)
         try:
-            replayed = apply_step(before, grammar.productions[index], int(pos))
+            after = apply_step(before, grammar.productions[index], int(pos))
         except (NoMatchError, OutOfRangeError) as e:
             raise TraceParseError(f"step does not apply: {e}", n) from None
-        if replayed != after:
+        if str(after) != recorded:
             raise TraceParseError(
-                f"recorded form {after} disagrees with the rewrite {replayed}", n
+                f"recorded form {recorded} disagrees with the rewrite {after}", n
             )
         steps.append(DerivationStep(before, index, int(pos), after))
         before = after
-    return DerivationTrace(grammar, tuple(steps))
+    return DerivationTrace._of(grammar, tuple(steps))  # chained by the replay
 
 
 # ---------------------------------------------------------------------------

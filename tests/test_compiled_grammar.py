@@ -9,8 +9,9 @@ pickling.
 A grammar compiles itself on first use and keeps the result, with one
 search for each of at most ``_SEARCH_CACHE_SIZE`` bounds, keyed by the
 bound alone, each with the last exact-probability sweep over it and the
-traces queried of it, until the grammar itself is freed.  A kept search
-answers every fuel at which a search would expand the same forms.
+traces queried of it, until the grammar itself is freed.  Only complete
+searches are kept, by the cache rule the ``lcsg.derivation`` module
+docstring states.
 The cache never travels in a pickle: str hashes differ between processes,
 and a search record can hold ``DEFAULT_FUEL`` forms and more.
 """
@@ -418,8 +419,11 @@ def test_a_sweep_that_raises_is_not_kept(text, fuel, error, monkeypatch):
     for _ in range(2):
         with pytest.raises(error):
             string_probability(wg, w, fuel)
-        (reach,) = _compiled(wg.grammar).searches.values()  # the search is kept
-        assert reach.sweep is None
+        if error is FuelExhaustedError:
+            assert _compiled(wg.grammar).searches == {}  # nor is its search
+        else:
+            (reach,) = _compiled(wg.grammar).searches.values()  # the search is kept
+            assert reach.sweep is None
 
 
 def test_a_completed_search_keeps_at_most_fuel_forms():
@@ -498,29 +502,70 @@ def test_a_completed_search_answers_every_fuel_that_covers_its_expansions(monkey
         assert _bounded_reachability(g, 6, fuel) is reach
     assert enumerate_language(g, 6, fuel=expanded) == set(reach.words)
     assert searched == [(6, DEFAULT_FUEL)]
-    # One fuel fewer runs out before the last expansion: searched again.
+    # One fuel fewer runs out before the last expansion: searched again,
+    # and the record out of fuel is returned but not kept.
     with pytest.raises(FuelExhaustedError):
         enumerate_language(g, 6, fuel=expanded - 1)
     assert searched[1:] == [(6, expanded - 1)]
-    (short,) = _compiled(g).searches.values()  # it took the bound's place
+    searches = _compiled(g).searches
+    assert list(searches) == [6] and searches[6] is reach
+    short = _bounded_reachability(g, 6, expanded - 1)
+    assert searched[2:] == [(6, expanded - 1)]
     assert not short.completed
     assert fields(short) == cold_fields("crossserial.grammar", 6, expanded - 1)
+    assert list(searches) == [6] and searches[6] is reach
 
 
-def test_a_search_out_of_fuel_answers_only_its_own_fuel(monkeypatch):
+def test_a_search_out_of_fuel_is_returned_but_not_kept(monkeypatch):
     g = load_grammar("crossserial.grammar")
     searched = count_searches(monkeypatch)
-    reach = _bounded_reachability(g, 6, 10)
-    assert not reach.completed and len(reach.rewrites) == 10
-    assert _bounded_reachability(g, 6, 10) is reach
-    assert searched == [(6, 10)]
-    for fuel in (9, 11, DEFAULT_FUEL):
-        again = _bounded_reachability(g, 6, fuel)
-        assert again is not reach and searched[-1] == (6, fuel)
-        assert fields(again) == cold_fields("crossserial.grammar", 6, fuel)
-        assert list(_compiled(g).searches.values()) == [again]
-        reach = again
-    assert reach.completed and len(searched) == 4
+    cold = cold_fields("crossserial.grammar", 6, 10)
+    first = _bounded_reachability(g, 6, 10)
+    again = _bounded_reachability(g, 6, 10)
+    assert searched == [(6, 10), (6, 10)] and again is not first
+    assert not first.completed and len(first.rewrites) == 10
+    assert fields(first) == fields(again) == cold
+    assert _compiled(g).searches == {}
+    for fuel in (9, 11):
+        assert fields(_bounded_reachability(g, 6, fuel)) == cold_fields(
+            "crossserial.grammar", 6, fuel
+        )
+        assert _compiled(g).searches == {}
+    reach = _bounded_reachability(g, 6, DEFAULT_FUEL)  # completes, so it is kept
+    assert reach.completed and len(searched) == 5
+    assert list(_compiled(g).searches.values()) == [reach]
+
+
+def test_a_probe_out_of_fuel_leaves_the_complete_search_at_its_bound(monkeypatch):
+    g = load_grammar("abc.grammar")
+    member = g.string_of("a a b b c c".split())
+    trace = derives_bounded(g, member)
+    assert string_probability(WeightedGrammar.from_grammar(g), member) > 0.0
+    reach = _compiled(g).searches[6]
+    assert len(reach.rewrites) == 13 and reach.sweep is not None
+    store = dict(reach.traces)
+    searched = count_searches(monkeypatch)
+    with pytest.raises(FuelExhaustedError):
+        derives_bounded(g, member, fuel=5)
+    assert searched == [(6, 5)]
+    searches = _compiled(g).searches
+    assert list(searches) == [6] and searches[6] is reach
+    assert reach.sweep is not None and reach.traces == store
+    assert derives_bounded(g, member) == trace
+    assert len(searched) == 1  # the kept search answered
+
+
+def test_probes_out_of_fuel_evict_no_complete_search(monkeypatch):
+    g = load_grammar("abc.grammar")
+    kept = {n: _bounded_reachability(g, n, DEFAULT_FUEL) for n in (3, 6, 9, 12)}
+    searched = count_searches(monkeypatch)
+    for n in range(20, 20 + _SEARCH_CACHE_SIZE):
+        with pytest.raises(FuelExhaustedError):
+            enumerate_language(g, n, fuel=3)
+    assert searched == [(n, 3) for n in range(20, 20 + _SEARCH_CACHE_SIZE)]
+    searches = _compiled(g).searches
+    assert list(searches) == list(kept)
+    assert all(searches[n] is reach and reach.completed for n, reach in kept.items())
 
 
 def test_a_query_that_raises_leaves_the_cache_as_it_was():

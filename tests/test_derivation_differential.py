@@ -28,16 +28,18 @@ sides filed under one nonterminal that match at one position; names with
 regex metacharacters and non-ASCII letters; symbols used in productions
 but not declared; and the start erasure and erasing context-free grammars.
 
-A search at a bound the cache misses grows the longest completed search
-kept at a shorter bound that the start form fits.  Queried at bounds 0 to 8
-in a drawn order on one grammar object, each with a fuel drawn from values
-that run out before, during and after the forms of the shorter search,
-every record must equal a cold search's on a fresh parse, form for form,
-step for step and rewrite for rewrite, with the same terminal strings in
-the same order, or raise the same exception.  The cache keeps one search
-per bound, which answers every fuel at which a search would expand the
-same forms; drawn repeat queries at those bounds, at fuels the kept
-search answers and at fuels it does not, must also give the cold record.
+A search at a bound the cache misses grows the longest search kept at a
+shorter bound that the start form fits.  Queried at bounds 0 to 8 in a
+drawn order on one grammar object, each with a fuel drawn from values that
+run out before, during and after the forms of the shorter search, every
+record must equal a cold search's on a fresh parse, form for form, step for
+step and rewrite for rewrite, with the same terminal strings in the same
+order, or raise the same exception.  The cache follows the rule the
+``lcsg.derivation`` module docstring states: after every query each kept
+search is complete, and a query that raises or runs out of fuel leaves the
+cache's keys and objects as they were.  Drawn repeat queries at those
+bounds, at fuels the kept search answers and at fuels it does not, must
+also give the cold record.
 """
 
 from __future__ import annotations
@@ -573,10 +575,7 @@ def cold_record(g: Grammar, max_len: int, fuel: int) -> tuple:
 def grows(g: Grammar, max_len: int) -> bool:
     """Whether a search at ``max_len`` would grow from one kept on ``g``."""
     view = _compiled(g)
-    return any(
-        view.start_yield <= m < max_len and reach.completed
-        for m, reach in view.searches.items()
-    )
+    return any(view.start_yield <= m < max_len for m in view.searches)
 
 
 @small
@@ -589,26 +588,39 @@ def grows(g: Grammar, max_len: int) -> bool:
 )
 def test_grown_searches_equal_cold_ones(productions, pad, bounds, fuels, repeats):
     g = grammar(productions, pad)  # one object for every query below
-    grown = 0
-    for max_len, fuel in zip(bounds, fuels):
-        grown += grows(g, max_len)
-        got = outcome(lambda: record(_bounded_reachability(g, max_len, fuel)))
-        assert got == outcome(cold_record, grammar(productions, pad), max_len, fuel), max_len
-    event(f"grown searches: {grown}")
-    # Then bounds asked again: the search kept at a bound answers some fuels
-    # and is searched again at the others, and each answer is the cold one.
-    searched_at = dict(zip(bounds, fuels))  # the fuel of each bound's kept search
-    answered = 0
-    for max_len, fuel in repeats:
-        kept = _compiled(g).searches.get(max_len)
+    searched_at: dict[int, int] = {}  # the fuel of each bound's kept search
+    grown = answered = probes = 0
+
+    def query(max_len: int, fuel: int):
+        """Query ``g``, compare with a cold search, and check what the cache kept."""
+        searches = _compiled(g).searches
+        before = dict(searches)
         reach = outcome(_bounded_reachability, g, max_len, fuel)
         got = reach if isinstance(reach, type) else record(reach)
         assert got == outcome(cold_record, grammar(productions, pad), max_len, fuel), max_len
-        if reach is kept:
-            answered += fuel != searched_at[max_len]
-        elif not isinstance(reach, type):
+        assert all(kept.completed for kept in searches.values())
+        if isinstance(reach, type) or not reach.completed:
+            # Nothing kept: the same keys, in the same order, and objects.
+            assert list(searches.items()) == list(before.items())
+        elif reach is not before.get(max_len):
             searched_at[max_len] = fuel
+        return reach, before.get(max_len)
+
+    for max_len, fuel in zip(bounds, fuels):
+        grown += grows(g, max_len)
+        query(max_len, fuel)
+    event(f"grown searches: {grown}")
+    # Then bounds asked again: the search kept at a bound answers the fuels
+    # that cover its expansions, a smaller fuel searches again and is not
+    # kept, and each answer is the cold one.
+    for max_len, fuel in repeats:
+        reach, kept = query(max_len, fuel)
+        if kept is not None and reach is kept:
+            answered += fuel != searched_at[max_len]
+        elif kept is not None and not isinstance(reach, type) and not reach.completed:
+            probes += 1
     event(f"repeat queries a kept search answered at another fuel: {answered}")
+    event(f"repeat queries out of fuel at a bound with a kept search: {probes}")
 
 
 def spy_on_bases(monkeypatch) -> list:
@@ -640,15 +652,17 @@ def test_a_longer_bound_grows_the_longest_completed_shorter_search(
     for fuel in fuels:
         g = load_grammar(name)
         below = _bounded_reachability(g, shorter - 4, DEFAULT_FUEL)
-        _bounded_reachability(g, shorter, 60)  # runs out of fuel: never a base
+        _bounded_reachability(g, shorter, 60)  # runs out of fuel: never kept
         base = _bounded_reachability(g, shorter, 5000)  # completes, at another fuel
         _bounded_reachability(g, shorter - 2, DEFAULT_FUEL)  # shorter, and kept later
-        got = record(_bounded_reachability(g, longer, fuel))
+        reach = _bounded_reachability(g, longer, fuel)
         expected = [None, below, below, below, base]
         assert [a is b for a, b in zip(bases[-5:], expected)] == [True] * 5
-        assert got == cold_record(load_grammar(name), longer, fuel), fuel
-        # Using a base is no cache hit: the base keeps its place.
-        assert list(_compiled(g).searches)[1:] == [shorter, shorter - 2, longer]
+        assert record(reach) == cold_record(load_grammar(name), longer, fuel), fuel
+        # Using a base is no cache hit: the base keeps its place.  A longer
+        # search out of fuel is not kept.
+        kept = [shorter, shorter - 2] + [longer] * reach.completed
+        assert list(_compiled(g).searches)[1:] == kept
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,15 @@ def test_derivation_parser_checks_the_recorded_form():
         parse_trace(text)
 
 
+def test_derivation_forms_spaced_as_the_serializer_never_writes_are_refused():
+    prefix = "kind=derivation\ng start: S\ng terminals: a b\ng nonterminals: S\ng S -> a b\n"
+    assert str(parse_trace(prefix + "step=0 prod=0 pos=0 after=a b\n").final) == "a b"
+    for after in ("a  b", " a b", "a b "):
+        with pytest.raises(TraceParseError, match="disagrees") as info:
+            parse_trace(prefix + f"step=0 prod=0 pos=0 after={after}\n")
+        assert info.value.line == 6
+
+
 # --- extraction reports ---
 
 
